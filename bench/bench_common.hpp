@@ -8,6 +8,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/cli.hpp"
 #include "harness/scenario.hpp"
 #include "harness/stats.hpp"
 #include "obs/json.hpp"
@@ -17,9 +18,9 @@ namespace aqueduct::bench {
 
 /// Command-line options shared by the harness-driven benches.
 ///
-/// Parsing is strict: an unknown flag (or a flag missing its value) prints
-/// usage and exits 2, so CI cannot green-light a typo'd invocation that
-/// silently ran with defaults.
+/// Parsing is strict: an unknown flag, a flag missing its value, or a
+/// malformed number prints usage and exits 2, so CI cannot green-light a
+/// typo'd invocation that silently ran with defaults.
 struct Options {
   /// Requests per client per run (the paper uses 1000 alternating
   /// write/read requests).
@@ -57,18 +58,19 @@ struct Options {
       }
       return argv[++i];
     };
+    const auto fail = [&] { usage(argv[0], std::cerr); };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--quick") {
         opt.requests = 200;
       } else if (arg == "--requests") {
-        opt.requests = static_cast<std::size_t>(std::stoull(value(i)));
+        opt.requests = harness::require_u64(arg, value(i), fail);
       } else if (arg == "--seed") {
-        opt.seed = std::stoull(value(i));
+        opt.seed = harness::require_u64(arg, value(i), fail);
       } else if (arg == "--seeds") {
-        opt.seeds = static_cast<std::size_t>(std::stoull(value(i)));
+        opt.seeds = harness::require_u64(arg, value(i), fail);
       } else if (arg == "--threads") {
-        opt.threads = static_cast<std::size_t>(std::stoull(value(i)));
+        opt.threads = harness::require_u64(arg, value(i), fail);
       } else if (arg == "--csv") {
         opt.csv = true;
       } else if (arg == "--json-out") {

@@ -1,27 +1,26 @@
 // Ordering-guarantee cost comparison (paper Section 4, Figure 2: the
 // framework hosts multiple timed consistency handlers).
 //
-// Same replica pool and workload, two handlers:
+// Same replica pool, workload and gateway handlers; the service's ordering
+// policy is the only difference:
 //   * sequential (TOTAL) — sequencer-ordered updates; reads wait for the
 //     GSN broadcast and respect a global staleness threshold;
 //   * FIFO — per-client update order only; reads are served immediately
 //     (optionally with read-your-writes session freshness).
-// The sequential handler pays for its stronger guarantee with the
-// sequencer round-trip on every read and commit-ordering waits; the FIFO
-// handler's reads are cheaper but only per-client consistent.
+// The sequential policy pays for its stronger guarantee with the
+// sequencer round-trip on every read and commit-ordering waits; FIFO
+// reads are cheaper but only per-client consistent.
 #include <chrono>
 #include <iostream>
 #include <memory>
 #include <vector>
 
 #include "bench_common.hpp"
-#include "client/fifo_handler.hpp"
 #include "client/handler.hpp"
 #include "gcs/endpoint.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
 #include "net/loopback.hpp"
-#include "replication/fifo.hpp"
 #include "replication/objects.hpp"
 #include "replication/replica.hpp"
 #include "sim/simulator.hpp"
@@ -45,50 +44,38 @@ core::QoSSpec bench_qos() {
   return {.staleness_threshold = 2, .deadline = 140ms, .min_probability = 0.9};
 }
 
-/// Shared scaffold: simulator, LAN, replicas of the given kind.
-/// Declaration order gives correct teardown: endpoints detach from the
-/// network before either is destroyed.
-struct Testbed {
-  std::unique_ptr<sim::Simulator> sim;
-  std::unique_ptr<net::LoopbackTransport> lan;
+/// One rig for every row: the same pool, workload and handler classes,
+/// with the service's ordering policy and the client's read-your-writes
+/// setting as the only parameters.
+RunStats run(const bench::Options& opt, core::Ordering ordering,
+             bool read_your_writes) {
+  // Declaration order gives correct teardown: handlers go before their
+  // endpoints, endpoints detach from the network before it is destroyed.
+  sim::Simulator sim(opt.seed);
+  net::LoopbackTransport lan(
+      sim, std::make_unique<sim::NormalDuration>(500us, 200us));
   gcs::Directory directory;
   std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-};
-
-template <typename MakeReplica>
-Testbed boot(std::uint64_t seed, MakeReplica make) {
-  Testbed t;
-  t.sim = std::make_unique<sim::Simulator>(seed);
-  t.lan = std::make_unique<net::LoopbackTransport>(
-      *t.sim, std::make_unique<sim::NormalDuration>(500us, 200us));
-  for (std::size_t i = 0; i < kPrimaries + kSecondaries; ++i) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(*t.sim, *t.lan, t.directory);
-    make(*t.sim, *endpoint, i < kPrimaries, i);
-    t.endpoints.push_back(std::move(endpoint));
-  }
-  return t;
-}
-
-RunStats run_sequential(const bench::Options& opt) {
   std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
-  Testbed t = boot(
-      opt.seed,
-      [&](sim::Simulator& s, gcs::Endpoint& ep, bool primary, std::size_t i) {
-        replication::ReplicaConfig config;
-        config.service_time = std::make_shared<sim::NormalDuration>(100ms, 50ms);
-        config.lazy_update_interval = 2s;
-        replicas.push_back(std::make_unique<replication::ReplicaServer>(
-            s, ep, replication::ServiceGroups::for_service(1), primary,
-            std::make_unique<replication::KeyValueStore>(), std::move(config)));
-        s.after(i * 10ms, [r = replicas.back().get()] { r->start(); });
-      });
-  auto& sim = t.sim;
+  const auto groups = replication::ServiceGroups::for_service(1, ordering);
+  for (std::size_t i = 0; i < kPrimaries + kSecondaries; ++i) {
+    endpoints.push_back(std::make_unique<gcs::Endpoint>(sim, lan, directory));
+    replication::ReplicaConfig config;
+    config.service_time = std::make_shared<sim::NormalDuration>(100ms, 50ms);
+    config.lazy_update_interval = 2s;
+    replicas.push_back(std::make_unique<replication::ReplicaServer>(
+        sim, *endpoints.back(), groups, i < kPrimaries,
+        std::make_unique<replication::KeyValueStore>(), std::move(config)));
+    sim.after(i * 10ms, [r = replicas.back().get()] { r->start(); });
+  }
 
-  auto client_ep = std::make_unique<gcs::Endpoint>(*sim, *t.lan, t.directory);
-  client::ClientHandler client(*sim, *client_ep,
-                               replication::ServiceGroups::for_service(1), {});
+  endpoints.push_back(std::make_unique<gcs::Endpoint>(sim, lan, directory));
+  client::ClientConfig config;
+  config.read_your_writes = read_your_writes;
+  client::ClientHandler client(sim, *endpoints.back(), groups,
+                               std::move(config));
   client.start();
-  sim->run_for(1s);
+  sim.run_for(1s);
 
   RunStats stats;
   std::size_t issued = 0;
@@ -100,7 +87,7 @@ RunStats run_sequential(const bench::Options& opt) {
       put->key = "k";
       put->value = std::to_string(n);
       client.update(put, [&](const client::UpdateOutcome&) {
-        sim->after(200ms, next);
+        sim.after(200ms, next);
       });
     } else {
       client.read(std::make_shared<replication::KvGet>(), bench_qos(),
@@ -108,60 +95,12 @@ RunStats run_sequential(const bench::Options& opt) {
                     stats.read_ms.push_back(sim::to_ms(o.response_time));
                     if (o.timing_failure) ++stats.timing_failures;
                     ++stats.reads;
-                    sim->after(200ms, next);
+                    sim.after(200ms, next);
                   });
     }
   };
   next();
-  sim->run_for(std::chrono::seconds(2 * opt.requests));
-  stats.avg_selected = client.stats().avg_replicas_selected();
-  return stats;
-}
-
-RunStats run_fifo(const bench::Options& opt, bool read_your_writes) {
-  std::vector<std::unique_ptr<replication::FifoReplicaServer>> replicas;
-  Testbed t = boot(
-      opt.seed,
-      [&](sim::Simulator& s, gcs::Endpoint& ep, bool primary, std::size_t i) {
-        replication::FifoReplicaConfig config;
-        config.service_time = std::make_shared<sim::NormalDuration>(100ms, 50ms);
-        config.lazy_update_interval = 2s;
-        replicas.push_back(std::make_unique<replication::FifoReplicaServer>(
-            s, ep, replication::ServiceGroups::for_service(2), primary,
-            std::make_unique<replication::KeyValueStore>(), std::move(config)));
-        s.after(i * 10ms, [r = replicas.back().get()] { r->start(); });
-      });
-  auto& sim = t.sim;
-
-  auto client_ep = std::make_unique<gcs::Endpoint>(*sim, *t.lan, t.directory);
-  client::FifoClientHandler client(*sim, *client_ep,
-                                   replication::ServiceGroups::for_service(2));
-  client.start();
-  sim->run_for(1s);
-
-  RunStats stats;
-  std::size_t issued = 0;
-  std::function<void()> next = [&] {
-    if (issued >= opt.requests) return;
-    const std::size_t n = issued++;
-    if (n % 2 == 0) {
-      auto put = std::make_shared<replication::KvPut>();
-      put->key = "k";
-      put->value = std::to_string(n);
-      client.update(put, [&](sim::Duration) { sim->after(200ms, next); });
-    } else {
-      client.read(std::make_shared<replication::KvGet>(), bench_qos(),
-                  read_your_writes,
-                  [&](const client::FifoReadOutcome& o) {
-                    stats.read_ms.push_back(sim::to_ms(o.response_time));
-                    if (o.timing_failure) ++stats.timing_failures;
-                    ++stats.reads;
-                    sim->after(200ms, next);
-                  });
-    }
-  };
-  next();
-  sim->run_for(std::chrono::seconds(2 * opt.requests));
+  sim.run_for(std::chrono::seconds(2 * opt.requests));
   stats.avg_selected = client.stats().avg_replicas_selected();
   return stats;
 }
@@ -190,9 +129,12 @@ int main(int argc, char** argv) {
   harness::Table table({"handler", "reads", "mean_read_ms", "p50_read_ms",
                         "p99_read_ms", "timing_failure_prob",
                         "avg_replicas_selected"});
-  add_row(table, "sequential (TOTAL order)", run_sequential(opt));
-  add_row(table, "FIFO + read-your-writes", run_fifo(opt, true));
-  add_row(table, "FIFO (no session bound)", run_fifo(opt, false));
+  add_row(table, "sequential (TOTAL order)",
+          run(opt, core::Ordering::kSequential, false));
+  add_row(table, "FIFO + read-your-writes",
+          run(opt, core::Ordering::kFifo, true));
+  add_row(table, "FIFO (no session bound)",
+          run(opt, core::Ordering::kFifo, false));
   table.print();
   std::cout << "\nexpected shape: FIFO reads skip the sequencer GSN "
                "round-trip and any commit-order\nwaits, so they are "

@@ -31,6 +31,7 @@
 #include "core/pmf.hpp"
 #include "core/qos.hpp"
 #include "core/selection.hpp"
+#include "harness/cli.hpp"
 #include "obs/json.hpp"
 #include "replication/messages.hpp"
 #include "sim/random.hpp"
@@ -76,20 +77,20 @@ struct Options {
       }
       return argv[++i];
     };
+    const auto fail = [&] { usage(argv[0], std::cerr); };
     for (int i = 1; i < argc; ++i) {
       const std::string arg = argv[i];
       if (arg == "--smoke") {
         opt.iterations = 200;
         opt.open_loop_iterations = 20000;
       } else if (arg == "--iterations") {
-        opt.iterations = static_cast<std::size_t>(std::stoull(value(i)));
+        opt.iterations = harness::require_u64(arg, value(i), fail);
       } else if (arg == "--open-loop-iterations") {
-        opt.open_loop_iterations =
-            static_cast<std::size_t>(std::stoull(value(i)));
+        opt.open_loop_iterations = harness::require_u64(arg, value(i), fail);
       } else if (arg == "--seed") {
-        opt.seed = std::stoull(value(i));
+        opt.seed = harness::require_u64(arg, value(i), fail);
       } else if (arg == "--epsilon") {
-        opt.epsilon = std::stod(value(i));
+        opt.epsilon = harness::require_double(arg, value(i), fail);
       } else if (arg == "--json-out") {
         opt.json_out = value(i);
       } else if (arg == "--no-json") {

@@ -14,6 +14,7 @@
 #include <iostream>
 #include <string>
 
+#include "harness/cli.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "runner/plans.hpp"
@@ -66,18 +67,19 @@ CliOptions parse(int argc, char** argv) {
     }
     return argv[++i];
   };
+  const auto fail = [&] { usage(argv[0], std::cerr); };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--plan") {
       opt.plan = value(i);
     } else if (arg == "--seed") {
-      opt.seed = std::stoull(value(i));
+      opt.seed = harness::require_u64(arg, value(i), fail);
     } else if (arg == "--seeds") {
-      opt.seeds = static_cast<std::size_t>(std::stoull(value(i)));
+      opt.seeds = harness::require_u64(arg, value(i), fail);
     } else if (arg == "--threads") {
-      opt.threads = static_cast<std::size_t>(std::stoull(value(i)));
+      opt.threads = harness::require_u64(arg, value(i), fail);
     } else if (arg == "--requests") {
-      opt.requests = static_cast<std::size_t>(std::stoull(value(i)));
+      opt.requests = harness::require_u64(arg, value(i), fail);
     } else if (arg == "--json-out") {
       opt.json_out = value(i);
     } else if (arg == "--no-json") {

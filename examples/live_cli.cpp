@@ -58,6 +58,7 @@
 
 #include "gcs/directory.hpp"
 #include "gcs/endpoint.hpp"
+#include "harness/cli.hpp"
 #include "harness/scenario.hpp"
 #include "harness/stats.hpp"
 #include "net/transport.hpp"
@@ -92,30 +93,6 @@ namespace {
   std::exit(2);
 }
 
-// Strict numeric parsing: the whole argument must convert, anything else
-// (including trailing garbage) is a usage error, never UB or silence.
-double parse_double(const std::string& s) {
-  try {
-    std::size_t pos = 0;
-    const double v = std::stod(s, &pos);
-    if (pos != s.size()) usage();
-    return v;
-  } catch (const std::exception&) {
-    usage();
-  }
-}
-
-std::uint64_t parse_u64(const std::string& s) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(s, &pos);
-    if (pos != s.size() || (!s.empty() && s[0] == '-')) usage();
-    return v;
-  } catch (const std::exception&) {
-    usage();
-  }
-}
-
 // ---------------------------------------------------------------------------
 // Multi-process deployment
 // ---------------------------------------------------------------------------
@@ -133,7 +110,8 @@ std::pair<std::string, std::uint16_t> parse_hostport(const std::string& s) {
   if (colon == std::string::npos || colon == 0 || colon + 1 == s.size()) {
     usage();
   }
-  const std::uint64_t port = parse_u64(s.substr(colon + 1));
+  const std::uint64_t port =
+      harness::require_u64("port", s.substr(colon + 1), usage);
   if (port == 0 || port > 65535) usage();
   return {s.substr(0, colon), static_cast<std::uint16_t>(port)};
 }
@@ -568,8 +546,9 @@ int main(int argc, char** argv) {
   double chaos_reorder = 0.0;
   double chaos_delay_ms = 0.0;
 
-  auto parse_probability = [&](const std::string& s) {
-    const double p = parse_double(s);
+  // Strict numbers (harness/cli.hpp): a malformed value is a usage error.
+  auto parse_probability = [&](const std::string& flag, const char* s) {
+    const double p = harness::require_double(flag, s, usage);
     if (p < 0.0 || p > 1.0) usage();
     return p;
   };
@@ -580,13 +559,13 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--duration") {
-      duration_s = parse_double(next_value(i));
+      duration_s = harness::require_double(arg, next_value(i), usage);
       if (duration_s <= 0.0) usage();
       duration_set = true;
     } else if (arg == "--requests") {
-      requests = static_cast<std::size_t>(parse_u64(next_value(i)));
+      requests = harness::require_u64(arg, next_value(i), usage);
     } else if (arg == "--seed") {
-      seed = parse_u64(next_value(i));
+      seed = harness::require_u64(arg, next_value(i), usage);
     } else if (arg == "--runtime") {
       const std::string name = next_value(i);
       if (name == "real") {
@@ -603,7 +582,8 @@ int main(int argc, char** argv) {
     } else if (arg == "--telemetry-out") {
       telemetry_out = next_value(i);
     } else if (arg == "--telemetry-period") {
-      telemetry_period_ms = parse_double(next_value(i));
+      telemetry_period_ms =
+          harness::require_double(arg, next_value(i), usage);
       if (telemetry_period_ms <= 0.0) usage();
     } else if (arg == "--prom-out") {
       prom_out = next_value(i);
@@ -618,13 +598,13 @@ int main(int argc, char** argv) {
     } else if (arg == "--peer") {
       peers.push_back(parse_peer(next_value(i)));
     } else if (arg == "--chaos-loss") {
-      chaos_loss = parse_probability(next_value(i));
+      chaos_loss = parse_probability(arg, next_value(i));
     } else if (arg == "--chaos-duplicate") {
-      chaos_duplicate = parse_probability(next_value(i));
+      chaos_duplicate = parse_probability(arg, next_value(i));
     } else if (arg == "--chaos-reorder") {
-      chaos_reorder = parse_probability(next_value(i));
+      chaos_reorder = parse_probability(arg, next_value(i));
     } else if (arg == "--chaos-delay-ms") {
-      chaos_delay_ms = parse_double(next_value(i));
+      chaos_delay_ms = harness::require_double(arg, next_value(i), usage);
       if (chaos_delay_ms < 0.0) usage();
     } else {
       usage();

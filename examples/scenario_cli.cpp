@@ -23,6 +23,7 @@
 #include <string>
 #include <vector>
 
+#include "harness/cli.hpp"
 #include "harness/scenario.hpp"
 #include "harness/stats.hpp"
 #include "harness/table.hpp"
@@ -71,32 +72,39 @@ int main(int argc, char** argv) {
     if (i + 1 >= argc) usage();
     return argv[++i];
   };
+  // Strict numbers (harness/cli.hpp): a malformed value is a usage error.
+  const auto u64 = [&](const std::string& flag, std::string_view s) {
+    return harness::require_u64(flag, s, usage);
+  };
+  const auto real = [&](const std::string& flag, std::string_view s) {
+    return harness::require_double(flag, s, usage);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--primaries") {
-      config.num_primaries = std::stoul(next_value(i));
+      config.num_primaries = u64(arg, next_value(i));
     } else if (arg == "--secondaries") {
-      config.num_secondaries = std::stoul(next_value(i));
+      config.num_secondaries = u64(arg, next_value(i));
     } else if (arg == "--requests") {
-      requests = std::stoul(next_value(i));
+      requests = u64(arg, next_value(i));
     } else if (arg == "--deadline-ms") {
-      deadline_ms = std::stod(next_value(i));
+      deadline_ms = real(arg, next_value(i));
     } else if (arg == "--staleness") {
-      staleness = std::stoull(next_value(i));
+      staleness = u64(arg, next_value(i));
     } else if (arg == "--probability") {
-      probability = std::stod(next_value(i));
+      probability = real(arg, next_value(i));
     } else if (arg == "--lui-ms") {
-      config.lazy_update_interval = sim::from_ms(std::stod(next_value(i)));
+      config.lazy_update_interval = sim::from_ms(real(arg, next_value(i)));
     } else if (arg == "--request-delay-ms") {
-      request_delay_ms = std::stod(next_value(i));
+      request_delay_ms = real(arg, next_value(i));
     } else if (arg == "--clients") {
-      clients = std::stoul(next_value(i));
+      clients = u64(arg, next_value(i));
     } else if (arg == "--service-mean-ms") {
-      config.service_mean = sim::from_ms(std::stod(next_value(i)));
+      config.service_mean = sim::from_ms(real(arg, next_value(i)));
     } else if (arg == "--service-std-ms") {
-      config.service_std = sim::from_ms(std::stod(next_value(i)));
+      config.service_std = sim::from_ms(real(arg, next_value(i)));
     } else if (arg == "--seed") {
-      config.seed = std::stoull(next_value(i));
+      config.seed = u64(arg, next_value(i));
     } else if (arg == "--open-loop") {
       open_loop = true;
     } else if (arg == "--csv") {
@@ -109,8 +117,8 @@ int main(int argc, char** argv) {
       const std::string spec = next_value(i);
       const auto at = spec.find('@');
       if (at == std::string::npos) usage();
-      crashes.push_back({std::stoul(spec.substr(0, at)),
-                         std::stod(spec.substr(at + 1))});
+      crashes.push_back({u64(arg, std::string_view(spec).substr(0, at)),
+                         real(arg, std::string_view(spec).substr(at + 1))});
     } else {
       usage();
     }

@@ -81,6 +81,7 @@ void ClientHandler::read(net::MessagePtr op, const core::QoSSpec& qos,
   req.qos = qos;
   req.read_done = std::move(done);
   req.t0 = t0;
+  if (fifo() && config_.read_your_writes) req.after = chain_tail();
   ++stats_.reads_issued;
   metrics_.reads_issued.inc();
   span(obs::SpanKind::kIssue, id, net::NodeId{},
@@ -102,6 +103,10 @@ void ClientHandler::update(net::MessagePtr op, UpdateCallback done) {
   req.op = std::move(op);
   req.update_done = std::move(done);
   req.t0 = t0;
+  if (fifo()) {
+    req.after = chain_tail();
+    last_update_ = id.seq;
+  }
   ++stats_.updates_issued;
   metrics_.updates_issued.inc();
   span(obs::SpanKind::kIssue, id, net::NodeId{});
@@ -132,6 +137,12 @@ void ClientHandler::transmit_read(const replication::RequestId& id,
   const sim::TimePoint now = exec_.now();
 
   auto ctx = repository_.selection_context(req.qos, now, rng_);
+  if (fifo()) {
+    // FIFO has no staleness threshold. Without a session bound any replica
+    // serves at once; read-your-writes needs a secondary that holds this
+    // client's latest update, estimated as the chance it is fully fresh.
+    ctx.stale_factor = req.after == 0 ? 1.0 : repository_.stale_factor(0, now);
+  }
   auto selection = config_.selector->select(ctx);
 
   req.replicas_selected = selection.selected.size();
@@ -148,6 +159,7 @@ void ClientHandler::transmit_read(const replication::RequestId& id,
   request->id = id;
   request->op = req.op;
   request->staleness_threshold = req.qos.staleness_threshold;
+  request->after = req.after;
 
   req.tm = now;
   ++req.attempts;
@@ -170,14 +182,15 @@ void ClientHandler::transmit_update(const replication::RequestId& id,
   auto request = std::make_shared<replication::UpdateRequest>();
   request->id = id;
   request->op = req.op;
+  request->after = req.after;
 
   req.tm = exec_.now();
   ++req.attempts;
   ++stats_.transmit_attempts;
   metrics_.transmit_attempts.inc();
   span(obs::SpanKind::kSend, id, roles.sequencer, roles.primaries.size() + 1);
-  // Updates go to every member of the primary group, sequencer included
-  // (Section 4.1.1).
+  // Updates go to every member of the primary group, sequencer (if any)
+  // included (Section 4.1.1).
   qos_member_->send_to_set(roles.primaries, request);
   if (roles.sequencer.valid()) qos_member_->send_to(roles.sequencer, request);
   arm_retry(id);
@@ -232,10 +245,15 @@ void ClientHandler::on_retry(const replication::RequestId& id) {
           exec_.now(), /*timing_failure=*/true, /*staleness=*/0, req.attempts,
           config_.shard);
       if (req.read_done) req.read_done(outcome);
-    } else if (req.update_done) {
-      UpdateOutcome outcome;
-      outcome.response_time = exec_.now() - req.t0;
-      req.update_done(outcome);
+    } else {
+      // FIFO: later requests must not wait behind an update no primary
+      // may hold.
+      if (fifo()) abandoned_updates_.emplace(id.seq, req.after);
+      if (req.update_done) {
+        UpdateOutcome outcome;
+        outcome.response_time = exec_.now() - req.t0;
+        req.update_done(outcome);
+      }
     }
     outstanding_.erase(it);
     return;
@@ -301,6 +319,9 @@ void ClientHandler::handle_reply(
   if (req.is_read) {
     complete_read(reply->id, req, reply.get());
   } else {
+    // No chain walks below a completed update.
+    abandoned_updates_.erase(abandoned_updates_.begin(),
+                             abandoned_updates_.lower_bound(reply->id.seq));
     ++stats_.updates_completed;
     metrics_.updates_completed.inc();
     stats_.total_update_response_time += tp - req.t0;
@@ -378,6 +399,17 @@ void ClientHandler::check_alarm(const core::QoSSpec& qos) {
   if (timely_rate < qos.min_probability) {
     alarm_(1.0 - timely_rate);
   }
+}
+
+std::uint64_t ClientHandler::chain_tail() const {
+  // Walk back past abandoned updates to the latest one that has completed
+  // or is still being retried, which the primaries will come to hold.
+  std::uint64_t tail = last_update_;
+  for (auto it = abandoned_updates_.find(tail); it != abandoned_updates_.end();
+       it = abandoned_updates_.find(tail)) {
+    tail = it->second;
+  }
+  return tail;
 }
 
 void ClientHandler::forget_later(const replication::RequestId& id) {

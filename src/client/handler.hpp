@@ -10,11 +10,21 @@
 // t_1, maintains the information repository, detects timing failures, and
 // issues the QoS-violation callback when the observed frequency of timely
 // responses drops below the client's requested probability.
+//
+// The service's ordering policy (ServiceGroups::ordering) changes only what
+// a request carries and how selection weighs secondaries. Under kFifo there
+// is no sequencer to contact; every request names the client's previous
+// update (UpdateRequest/ReadRequest::after) so replicas can apply the
+// client's updates in issue order and, with read_your_writes, serve reads
+// that reflect them. FIFO has no global staleness, so the secondary-group
+// staleness factor is 1 and deferral risk is carried by the deferred-read
+// distributions alone.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <functional>
+#include <map>
 #include <memory>
 #include <unordered_map>
 
@@ -57,6 +67,11 @@ struct ClientConfig {
   /// and names gauges `sla.c<id>.s<shard>.spec<k>.*`. -1 (unsharded)
   /// keeps the pre-shard key and gauge names bit-for-bit.
   std::int64_t shard = -1;
+  /// FIFO ordering only: reads are served from state that reflects this
+  /// client's latest update (read-your-writes), deferring on a secondary
+  /// until a lazy update brings it. Ignored under sequential ordering,
+  /// where the staleness threshold bounds freshness instead.
+  bool read_your_writes = false;
 };
 
 /// Delivered to the application when a read completes (or is abandoned).
@@ -169,7 +184,7 @@ class ClientHandler {
   /// Issues a read-only operation with the given QoS specification.
   void read(net::MessagePtr op, const core::QoSSpec& qos, ReadCallback done);
 
-  /// Issues an update operation (sequentially ordered by the service).
+  /// Issues an update operation (ordered by the service's policy).
   void update(net::MessagePtr op, UpdateCallback done);
 
   void set_qos_alarm(QoSAlarm alarm) { alarm_ = std::move(alarm); }
@@ -189,6 +204,7 @@ class ClientHandler {
     UpdateCallback update_done;
     sim::TimePoint t0;  // interception time
     sim::TimePoint tm;  // transmission time of the latest attempt
+    std::uint64_t after = 0;  // FIFO: the client update this one follows
     std::uint32_t attempts = 0;
     bool completed = false;
     bool timing_failure = false;  // deadline timer fired with no reply
@@ -211,6 +227,10 @@ class ClientHandler {
   void check_alarm(const core::QoSSpec& qos);
   void drain_pending();
   void forget_later(const replication::RequestId& id);
+  bool fifo() const { return groups_.ordering == core::Ordering::kFifo; }
+  /// FIFO ordering: the update a new request follows — this client's
+  /// latest issued update, skipping back past abandoned ones.
+  std::uint64_t chain_tail() const;
 
   // ---- observability ----
   void span(obs::SpanKind kind, const replication::RequestId& id,
@@ -231,6 +251,12 @@ class ClientHandler {
   QoSAlarm alarm_;
 
   std::uint64_t next_seq_ = 0;
+  /// FIFO ordering: seq of this client's latest issued update (0 = none).
+  std::uint64_t last_update_ = 0;
+  /// Abandoned updates, each mapped to the update it followed. No primary
+  /// may ever hold one, so later requests chain past them. Entries below
+  /// the latest completed update are unreachable and pruned.
+  std::map<std::uint64_t, std::uint64_t> abandoned_updates_;
   std::unordered_map<replication::RequestId, OutstandingRequest> outstanding_;
   struct PendingApp {
     bool is_read;

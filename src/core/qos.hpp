@@ -34,10 +34,11 @@ constexpr Staleness staleness_of(Gsn gsn, Csn csn) {
 }
 
 /// Ordering guarantee offered by a replicated service to all its clients
-/// (service-specific attribute of the consistency dimension).
+/// (service-specific attribute of the consistency dimension), set once per
+/// service in replication::ServiceGroups.
 enum class Ordering {
-  kSequential,  // total order — the protocol implemented in this library
-  kFifo,        // per-client FIFO order
+  kSequential,  // total order via the sequencer's GSNs (the default)
+  kFifo,        // per-client FIFO order, optional read-your-writes
 };
 
 std::string to_string(Ordering o);

@@ -1,12 +1,16 @@
-// Wire encode/decode of the replication layer: the sequencer protocol
-// (messages.hpp, 0x2*), the FIFO handler (fifo.hpp, 0x3*), and the example
-// replicated objects (objects.hpp, 0x4*). Field order mirrors declaration
-// order; encode(decode(bytes)) == bytes for every type here.
+// Wire encode/decode of the replication layer: the replication protocol
+// (messages.hpp, 0x2*) and the example replicated objects (objects.hpp,
+// 0x4*). Field order mirrors declaration order; encode(decode(bytes)) ==
+// bytes for every type here. Block 0x3* is retired and never registered.
+//
+// FIFO-policy fields (UpdateRequest/ReadRequest::after, LazyUpdate/
+// StateSnapshot::horizons) are a trailing extension written only when set,
+// so every sequential-policy frame keeps its exact bytes. A present but
+// default-valued extension is non-canonical and rejected.
 #include <memory>
 
 #include "gcs/messages.hpp"
 #include "net/codec.hpp"
-#include "replication/fifo.hpp"
 #include "replication/messages.hpp"
 #include "replication/objects.hpp"
 
@@ -51,6 +55,28 @@ void encode_str_str_map(Writer& w,
   }
 }
 
+void encode_after(Writer& w, std::uint64_t after) {
+  if (after != 0) w.u64(after);
+}
+
+std::uint64_t decode_after(Reader& r) {
+  if (r.done()) return 0;
+  const std::uint64_t after = r.u64();
+  if (after == 0) throw net::CodecError("non-canonical FIFO 'after' field");
+  return after;
+}
+
+void encode_horizons(Writer& w, const Horizons& horizons) {
+  if (!horizons.empty()) net::encode_node_u64_map(w, horizons);
+}
+
+Horizons decode_horizons(Reader& r) {
+  if (r.done()) return {};
+  Horizons horizons = net::decode_node_u64_map(r);
+  if (horizons.empty()) throw net::CodecError("non-canonical FIFO horizons");
+  return horizons;
+}
+
 std::map<std::string, std::string> decode_str_str_map(Reader& r) {
   const std::uint32_t n = r.u32();
   std::map<std::string, std::string> m;
@@ -61,12 +87,13 @@ std::map<std::string, std::string> decode_str_str_map(Reader& r) {
   return m;
 }
 
-// ---- sequencer protocol (0x2*) ----
+// ---- replication protocol (0x2*) ----
 
 net::MessagePtr decode_update(Reader& r) {
   auto m = std::make_shared<UpdateRequest>();
   m->id = decode_request_id(r);
   m->op = net::decode_nested(r);
+  m->after = decode_after(r);
   return m;
 }
 
@@ -75,6 +102,7 @@ net::MessagePtr decode_read(Reader& r) {
   m->id = decode_request_id(r);
   m->op = net::decode_nested(r);
   m->staleness_threshold = r.u64();
+  m->after = decode_after(r);
   return m;
 }
 
@@ -106,6 +134,7 @@ net::MessagePtr decode_lazy(Reader& r) {
   m->csn = r.u64();
   m->snapshot = net::decode_nested(r);
   m->lazy_seq = r.u64();
+  m->horizons = decode_horizons(r);
   return m;
 }
 
@@ -119,6 +148,7 @@ net::MessagePtr decode_state_snap(Reader& r) {
   m->gsn = r.u64();
   m->snapshot = net::decode_nested(r);
   m->committed = decode_request_id_vector(r);
+  m->horizons = decode_horizons(r);
   return m;
 }
 
@@ -146,51 +176,6 @@ net::MessagePtr decode_groupinfo(Reader& r) {
   auto m = std::make_shared<GroupInfo>();
   m->epoch = r.u64();
   m->sequencer = r.node();
-  m->primaries = net::decode_node_vector(r);
-  m->secondaries = net::decode_node_vector(r);
-  m->lazy_publisher = r.node();
-  return m;
-}
-
-// ---- FIFO handler (0x3*) ----
-
-net::MessagePtr decode_fifo_update(Reader& r) {
-  auto m = std::make_shared<FifoUpdateRequest>();
-  m->id = decode_request_id(r);
-  m->op = net::decode_nested(r);
-  return m;
-}
-
-net::MessagePtr decode_fifo_read(Reader& r) {
-  auto m = std::make_shared<FifoReadRequest>();
-  m->id = decode_request_id(r);
-  m->op = net::decode_nested(r);
-  m->horizon = r.u64();
-  return m;
-}
-
-net::MessagePtr decode_fifo_reply(Reader& r) {
-  auto m = std::make_shared<FifoReply>();
-  m->id = decode_request_id(r);
-  m->is_update = r.boolean();
-  m->result = net::decode_nested(r);
-  m->replica = r.node();
-  m->t1 = r.duration();
-  m->deferred = r.boolean();
-  return m;
-}
-
-net::MessagePtr decode_fifo_lazy(Reader& r) {
-  auto m = std::make_shared<FifoLazyUpdate>();
-  m->snapshot = net::decode_nested(r);
-  m->horizons = net::decode_node_u64_map(r);
-  m->lazy_seq = r.u64();
-  return m;
-}
-
-net::MessagePtr decode_fifo_groupinfo(Reader& r) {
-  auto m = std::make_shared<FifoGroupInfo>();
-  m->epoch = r.u64();
   m->primaries = net::decode_node_vector(r);
   m->secondaries = net::decode_node_vector(r);
   m->lazy_publisher = r.node();
@@ -291,17 +276,19 @@ net::MessagePtr decode_reg_value(Reader& r) {
 
 }  // namespace
 
-// ---- sequencer protocol ----
+// ---- replication protocol ----
 
 void UpdateRequest::encode(Writer& w) const {
   encode_request_id(w, id);
   net::encode_nested(w, op);
+  encode_after(w, after);
 }
 
 void ReadRequest::encode(Writer& w) const {
   encode_request_id(w, id);
   net::encode_nested(w, op);
   w.u64(staleness_threshold);
+  encode_after(w, after);
 }
 
 void GsnAssign::encode(Writer& w) const {
@@ -327,6 +314,7 @@ void LazyUpdate::encode(Writer& w) const {
   w.u64(csn);
   net::encode_nested(w, snapshot);
   w.u64(lazy_seq);
+  encode_horizons(w, horizons);
 }
 
 void StateRequest::encode(Writer&) const {}
@@ -336,6 +324,7 @@ void StateSnapshot::encode(Writer& w) const {
   w.u64(gsn);
   net::encode_nested(w, snapshot);
   encode_request_id_vector(w, committed);
+  encode_horizons(w, horizons);
 }
 
 void PerfPublication::encode(Writer& w) const {
@@ -358,41 +347,6 @@ void PerfPublication::encode(Writer& w) const {
 void GroupInfo::encode(Writer& w) const {
   w.u64(epoch);
   w.node(sequencer);
-  net::encode_node_vector(w, primaries);
-  net::encode_node_vector(w, secondaries);
-  w.node(lazy_publisher);
-}
-
-// ---- FIFO handler ----
-
-void FifoUpdateRequest::encode(Writer& w) const {
-  encode_request_id(w, id);
-  net::encode_nested(w, op);
-}
-
-void FifoReadRequest::encode(Writer& w) const {
-  encode_request_id(w, id);
-  net::encode_nested(w, op);
-  w.u64(horizon);
-}
-
-void FifoReply::encode(Writer& w) const {
-  encode_request_id(w, id);
-  w.boolean(is_update);
-  net::encode_nested(w, result);
-  w.node(replica);
-  w.duration(t1);
-  w.boolean(deferred);
-}
-
-void FifoLazyUpdate::encode(Writer& w) const {
-  net::encode_nested(w, snapshot);
-  net::encode_node_u64_map(w, horizons);
-  w.u64(lazy_seq);
-}
-
-void FifoGroupInfo::encode(Writer& w) const {
-  w.u64(epoch);
   net::encode_node_vector(w, primaries);
   net::encode_node_vector(w, secondaries);
   w.node(lazy_publisher);
@@ -468,11 +422,6 @@ void register_wire_codecs() {
   reg.add(kWireStateSnapshot, "repl.state_snap", decode_state_snap);
   reg.add(kWirePerf, "repl.perf", decode_perf);
   reg.add(kWireGroupInfo, "repl.groupinfo", decode_groupinfo);
-  reg.add(kWireFifoUpdate, "fifo.update", decode_fifo_update);
-  reg.add(kWireFifoRead, "fifo.read", decode_fifo_read);
-  reg.add(kWireFifoReply, "fifo.reply", decode_fifo_reply);
-  reg.add(kWireFifoLazy, "fifo.lazy", decode_fifo_lazy);
-  reg.add(kWireFifoGroupInfo, "fifo.groupinfo", decode_fifo_groupinfo);
   reg.add(kWireKvPut, "kv.put", decode_kv_put);
   reg.add(kWireKvGet, "kv.get", decode_kv_get);
   reg.add(kWireKvResult, "kv.result", decode_kv_result);

@@ -5,6 +5,7 @@
 #include <compare>
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <optional>
 #include <vector>
 
@@ -16,9 +17,11 @@
 
 namespace aqueduct::replication {
 
-// Wire type ids of the sequencer-protocol messages (block 0x2*), the FIFO
-// handler's messages (0x3*, fifo.hpp), and the example replicated objects
-// (0x4*, objects.hpp). Append-only: never renumber, never reuse.
+// Wire type ids of the replication protocol (block 0x2*; new types take
+// the next free id from 0x2A upward) and the example replicated objects
+// (0x4*, objects.hpp). Append-only: never renumber, never reuse. Block 0x3*
+// is retired: ids 0x31-0x35 belonged to the former stand-alone FIFO stack,
+// whose state now rides on the 0x2* types, and must never be reassigned.
 inline constexpr net::WireTypeId kWireUpdate = 0x21;
 inline constexpr net::WireTypeId kWireRead = 0x22;
 inline constexpr net::WireTypeId kWireGsnAssign = 0x23;
@@ -29,9 +32,9 @@ inline constexpr net::WireTypeId kWireStateSnapshot = 0x27;
 inline constexpr net::WireTypeId kWirePerf = 0x28;
 inline constexpr net::WireTypeId kWireGroupInfo = 0x29;
 
-/// Registers every replication-layer decoder (sequencer protocol, FIFO
-/// handler, example objects) in the global net::CodecRegistry, plus the
-/// gcs decoders the transport needs below them. Idempotent.
+/// Registers every replication-layer decoder (replication protocol and
+/// example objects) in the global net::CodecRegistry, plus the gcs decoders
+/// the transport needs below them. Idempotent.
 void register_wire_codecs();
 
 /// Globally unique request identity: issuing client plus a per-client
@@ -43,6 +46,10 @@ struct RequestId {
 
   friend constexpr auto operator<=>(const RequestId&, const RequestId&) = default;
 };
+
+/// Per-client update horizon under the FIFO ordering policy: for each
+/// client, the request seq of its latest update reflected in a state.
+using Horizons = std::map<net::NodeId, std::uint64_t>;
 
 inline std::ostream& operator<<(std::ostream& os, const RequestId& id) {
   return os << id.client << "#" << id.seq;
@@ -59,6 +66,10 @@ constexpr obs::TraceId trace_of(const RequestId& id) {
 struct UpdateRequest final : net::Message {
   RequestId id;
   net::MessagePtr op;
+  /// FIFO ordering only: seq of the issuing client's previous update, which
+  /// a primary must apply first (0 = none). Encoded only when nonzero, so
+  /// sequential-policy frames are unchanged.
+  std::uint64_t after = 0;
   std::string type_name() const override { return "repl.update"; }
   net::WireTypeId wire_type() const override { return kWireUpdate; }
   void encode(net::Writer& w) const override;
@@ -72,6 +83,10 @@ struct ReadRequest final : net::Message {
   /// Client's staleness threshold `a`; the replica serves immediately only
   /// if its state is at most this stale.
   core::Staleness staleness_threshold = 0;
+  /// FIFO ordering with read-your-writes only: seq of the client's latest
+  /// update, which the serving replica must have applied (0 = no session
+  /// bound). Encoded only when nonzero.
+  std::uint64_t after = 0;
   std::string type_name() const override { return "repl.read"; }
   net::WireTypeId wire_type() const override { return kWireRead; }
   void encode(net::Writer& w) const override;
@@ -122,6 +137,9 @@ struct LazyUpdate final : net::Message {
   core::Csn csn = 0;
   net::MessagePtr snapshot;
   std::uint64_t lazy_seq = 0;  // ordinal of this propagation
+  /// FIFO ordering only: the per-client horizons `snapshot` reflects.
+  /// Encoded only when non-empty.
+  Horizons horizons;
   std::string type_name() const override { return "repl.lazy"; }
   net::WireTypeId wire_type() const override { return kWireLazyUpdate; }
   void encode(net::Writer& w) const override;
@@ -146,6 +164,9 @@ struct StateSnapshot final : net::Message {
   core::Gsn gsn = 0;
   net::MessagePtr snapshot;
   std::vector<RequestId> committed;
+  /// FIFO ordering only: the per-client horizons `snapshot` reflects.
+  /// Encoded only when non-empty.
+  Horizons horizons;
   std::string type_name() const override { return "repl.state_snap"; }
   net::WireTypeId wire_type() const override { return kWireStateSnapshot; }
   void encode(net::Writer& w) const override;
@@ -180,12 +201,12 @@ struct PerfPublication final : net::Message {
   void encode(net::Writer& w) const override;
 };
 
-/// Service configuration published by the sequencer on the QoS group so
-/// clients learn the current roles (stand-in for the AQuA dependability
-/// manager's configuration distribution).
+/// Service configuration published by the primary-group leader on the QoS
+/// group so clients learn the current roles (stand-in for the AQuA
+/// dependability manager's configuration distribution).
 struct GroupInfo final : net::Message {
   std::uint64_t epoch = 0;
-  net::NodeId sequencer;
+  net::NodeId sequencer;  // invalid under the FIFO ordering policy
   std::vector<net::NodeId> primaries;  // excluding the sequencer
   std::vector<net::NodeId> secondaries;
   net::NodeId lazy_publisher;

@@ -136,9 +136,10 @@ void ReplicaServer::on_primary_view(const gcs::View& view) {
   if (crashed_ || view.empty()) return;
 
   const net::NodeId new_leader = view.leader();
-  const bool becoming_sequencer = (new_leader == id()) && !is_sequencer_;
+  const bool was_sequencer = is_sequencer();
+  is_leader_ = (new_leader == id());
+  const bool becoming_sequencer = is_sequencer() && !was_sequencer;
 
-  is_sequencer_ = (new_leader == id());
   const net::NodeId lazy_publisher =
       view.size() >= 2 ? view.members.back() : view.leader();
   const bool was_publisher = is_lazy_publisher_;
@@ -179,7 +180,7 @@ void ReplicaServer::on_primary_view(const gcs::View& view) {
 
   last_primary_leader_ = new_leader;
   maybe_activate_sequencer();
-  if (is_sequencer_) publish_group_info();
+  if (is_leader_) publish_group_info();
 }
 
 void ReplicaServer::on_replication_view(const gcs::View& view) {
@@ -193,7 +194,7 @@ void ReplicaServer::on_replication_view(const gcs::View& view) {
     if (view.size() > 1) begin_recovery();
   }
   maybe_activate_sequencer();
-  if (is_sequencer_) publish_group_info();
+  if (is_leader_) publish_group_info();
   if (is_lazy_publisher_) {
     // Bring freshly joined secondaries up to date without waiting a full
     // lazy interval.
@@ -205,14 +206,14 @@ void ReplicaServer::on_qos_view(const gcs::View& view) {
   if (crashed_ || view.empty()) return;
   // A new client joined (or one left): re-publish the role map so it can
   // start issuing requests.
-  if (is_sequencer_) publish_group_info();
+  if (is_leader_) publish_group_info();
 }
 
 void ReplicaServer::maybe_activate_sequencer() {
   // A recovering sequencer must not assign GSNs: its my_gsn_ may lag the
   // cluster and reassigning a used GSN would violate safety. Requests
   // buffer in barrier_queue_ until the snapshot installs.
-  if (!is_sequencer_ || recovering_) return;
+  if (!is_sequencer() || recovering_) return;
   if (sequencer_barrier_) {
     if (replication_member_ == nullptr || !replication_member_->joined()) return;
     if (replication_member_->view().contains(*sequencer_barrier_)) return;
@@ -231,17 +232,17 @@ void ReplicaServer::maybe_activate_sequencer() {
 }
 
 void ReplicaServer::publish_group_info() {
-  if (!is_sequencer_ || qos_member_ == nullptr || !qos_member_->joined()) return;
+  if (!is_leader_ || qos_member_ == nullptr || !qos_member_->joined()) return;
   if (primary_member_ == nullptr || !primary_member_->joined()) return;
   if (replication_member_ == nullptr || !replication_member_->joined()) return;
 
   auto info = std::make_shared<GroupInfo>();
   info->epoch = ++group_info_epoch_;
-  info->sequencer = id();
+  if (is_sequencer()) info->sequencer = id();
   const gcs::View& primary_view = primary_member_->view();
   const gcs::View& replication_view = replication_member_->view();
   for (const net::NodeId m : primary_view.members) {
-    if (m != id()) info->primaries.push_back(m);
+    if (m != info->sequencer) info->primaries.push_back(m);
   }
   for (const net::NodeId m : replication_view.members) {
     if (!primary_view.contains(m)) info->secondaries.push_back(m);
@@ -296,8 +297,10 @@ void ReplicaServer::handle_update_request(net::NodeId /*from*/,
   const RequestId id = request.id;
   // The payload stays in update_payload_ until the commit completes, so a
   // retried payload is recognized as a duplicate whether the update is
-  // still waiting for its GSN, queued, or already committed.
-  const bool duplicate = committed_.contains(id) || update_payload_.contains(id);
+  // still waiting for its GSN (or FIFO predecessor), queued, or already
+  // committed.
+  const bool duplicate = committed_.contains(id) ||
+                         update_payload_.contains(id) || fifo_applied(id);
   span(obs::SpanKind::kDeliver, id, id.client, duplicate ? 1 : 0);
   if (duplicate) {
     ++stats_.duplicate_requests;
@@ -310,9 +313,10 @@ void ReplicaServer::handle_update_request(net::NodeId /*from*/,
     ++updates_since_lazy_;
     auto copy = std::make_shared<UpdateRequest>(request);
     update_payload_.emplace(id, std::move(copy));
+    if (fifo()) waiting_updates_.insert(id);
   }
 
-  if (is_sequencer_) sequence_update(request);
+  if (is_sequencer()) sequence_update(request);
   if (!duplicate) try_enqueue_commits();
 }
 
@@ -397,6 +401,10 @@ void ReplicaServer::try_enqueue_commits() {
   // install advances next_enqueue_gsn_ past everything it covers, so after
   // recovery each GSN is executed exactly once.
   if (!is_primary_ || recovering_) return;
+  if (fifo()) {
+    enqueue_fifo_updates();
+    return;
+  }
   while (true) {
     auto it = update_gsn_.find(next_enqueue_gsn_ + 1);
     if (it == update_gsn_.end()) break;
@@ -424,6 +432,127 @@ void ReplicaServer::try_enqueue_commits() {
   }
 }
 
+void ReplicaServer::enqueue_fifo_updates() {
+  // FIFO ordering: a client's update enters the service queue once this
+  // replica has applied the client's previous update, so every primary
+  // applies each client's updates in issue order with no sequencer.
+  for (auto it = waiting_updates_.begin(); it != waiting_updates_.end();) {
+    const RequestId rid = *it;
+    const auto payload = update_payload_.find(rid);
+    if (payload == update_payload_.end() || fifo_applied(rid)) {
+      // Covered by an installed snapshot: already part of the state.
+      update_payload_.erase(rid);
+      it = waiting_updates_.erase(it);
+      continue;
+    }
+    if (payload->second->after > horizon_of(rid.client)) {
+      ++it;  // predecessor not applied yet
+      continue;
+    }
+    Job job;
+    job.is_update = true;
+    job.id = rid;
+    job.op = payload->second->op;
+    job.client = rid.client;
+    job.arrival = exec_.now();
+    it = waiting_updates_.erase(it);
+    enqueue_job(std::move(job));
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Ordering-policy decision points
+// ---------------------------------------------------------------------------
+
+std::uint64_t ReplicaServer::horizon_of(net::NodeId client) const {
+  const auto it = horizons_.find(client);
+  return it == horizons_.end() ? 0 : it->second;
+}
+
+bool ReplicaServer::fifo_applied(const RequestId& id) const {
+  return fifo() && id.seq <= horizon_of(id.client);
+}
+
+bool ReplicaServer::covers_horizons(const Horizons& horizons) const {
+  for (const auto& [client, mine] : horizons_) {
+    const auto it = horizons.find(client);
+    if (it == horizons.end() || it->second < mine) return false;
+  }
+  return true;
+}
+
+bool ReplicaServer::newer_state(core::Csn csn, const Horizons& horizons) const {
+  if (!fifo()) return csn > my_csn_;
+  return covers_horizons(horizons) && horizons != horizons_;
+}
+
+void ReplicaServer::install_state(const net::MessagePtr& snapshot,
+                                  core::Csn csn, const Horizons& horizons) {
+  object_->install_snapshot(snapshot);
+  my_csn_ = csn;
+  horizons_ = horizons;
+}
+
+ReplicaServer::ReadState ReplicaServer::read_state(
+    const PendingRead& pending) const {
+  bool fresh = false;
+  if (fifo()) {
+    // Read-your-writes: the client's latest update must be applied. The
+    // request carries that context, so there is no GSN to wait for.
+    fresh = horizon_of(pending.request->id.client) >= pending.request->after;
+  } else if (!pending.gsn) {
+    return ReadState::kAwaitingGsn;
+  } else {
+    fresh = core::staleness_of(*pending.gsn, my_csn_) <=
+            pending.request->staleness_threshold;
+  }
+  return fresh ? ReadState::kReady : ReadState::kTooStale;
+}
+
+bool ReplicaServer::serves_state() const {
+  // A recovering sequential primary would hand out the very hole it is
+  // trying to fill. A FIFO snapshot is labelled with the exact per-client
+  // horizons it reflects and installs only where it covers the receiver's,
+  // so a recovering FIFO primary serves too; otherwise primaries sharing a
+  // hole would all wait on each other for good.
+  return !recovering_ || fifo();
+}
+
+void ReplicaServer::advance_horizon(const RequestId& id) {
+  if (!fifo()) return;
+  horizons_[id.client] = id.seq;
+  try_enqueue_commits();  // the client's next update may now go
+}
+
+std::optional<RequestId> ReplicaServer::blocked_update() const {
+  // A waiting update whose predecessor is neither applied nor held here:
+  // it was sent before the client knew this replica, or before this
+  // replica's state transfer, or it follows an update the client abandoned.
+  // Entries whose payload a snapshot consumed are pruned on the next pass
+  // of enqueue_fifo_updates().
+  for (const RequestId& rid : waiting_updates_) {
+    const auto payload = update_payload_.find(rid);
+    if (payload == update_payload_.end()) continue;
+    const std::uint64_t after = payload->second->after;
+    if (after > horizon_of(rid.client) &&
+        !update_payload_.contains(RequestId{rid.client, after})) {
+      return rid;
+    }
+  }
+  return std::nullopt;
+}
+
+void ReplicaServer::drop_blocked_updates() {
+  // Called after a state transfer from a responder whose state covers this
+  // replica's: the predecessors still missing are missing there as well. A
+  // client that still wants such an update retries it; otherwise it follows
+  // an abandoned one and the client's next update skips both.
+  while (const std::optional<RequestId> rid = blocked_update()) {
+    update_payload_.erase(*rid);
+    waiting_updates_.erase(*rid);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Reads (Section 4.1.2)
 // ---------------------------------------------------------------------------
@@ -439,7 +568,7 @@ void ReplicaServer::handle_read_request(
     return;
   }
 
-  if (is_sequencer_) {
+  if (is_sequencer()) {
     // The sequencer only broadcasts the current GSN; it does not service
     // the read itself.
     sequence_read(*request);
@@ -460,12 +589,12 @@ void ReplicaServer::handle_read_request(
   pending.request = request;
   pending.client = from;
   pending.arrival = exec_.now();
+  pending.gsn_at = exec_.now();
   if (auto it = gsn_of_read_.find(id); it != gsn_of_read_.end()) {
     pending.gsn = it->second;
-    pending.gsn_at = exec_.now();
   }
   pending_reads_.emplace(id, std::move(pending));
-  if (pending_reads_.at(id).gsn) try_ready_read(id);
+  try_ready_read(id);
 }
 
 void ReplicaServer::sequence_read(const ReadRequest& request) {
@@ -495,10 +624,9 @@ void ReplicaServer::try_ready_read(const RequestId& id) {
   auto it = pending_reads_.find(id);
   if (it == pending_reads_.end()) return;
   PendingRead& pending = it->second;
-  if (!pending.gsn) return;
-
-  const core::Staleness staleness = core::staleness_of(*pending.gsn, my_csn_);
-  if (staleness > pending.request->staleness_threshold) {
+  const ReadState state = read_state(pending);
+  if (state == ReadState::kAwaitingGsn) return;
+  if (state == ReadState::kTooStale) {
     // Too stale: a secondary defers until the next lazy update brings the
     // state within the threshold; a primary simply waits for its in-flight
     // commits (that wait is part of the queueing delay W).
@@ -515,7 +643,7 @@ void ReplicaServer::try_ready_read(const RequestId& id) {
   job.arrival = pending.arrival;
   job.deferred = pending.deferred;
   job.tb = pending.deferred ? exec_.now() - pending.gsn_at : sim::Duration::zero();
-  job.gsn = *pending.gsn;
+  job.gsn = pending.gsn.value_or(0);
   waiting_reads_.erase(id);
   pending_reads_.erase(it);
   enqueue_job(std::move(job));
@@ -538,6 +666,7 @@ void ReplicaServer::propagate_lazy_update() {
   lazy->csn = my_csn_;
   lazy->snapshot = object_->snapshot();
   lazy->lazy_seq = ++lazy_seq_;
+  lazy->horizons = horizons_;
   replication_member_->multicast(lazy);
   updates_since_lazy_ = 0;
   last_lazy_update_ = exec_.now();
@@ -564,9 +693,8 @@ void ReplicaServer::handle_lazy_update(const LazyUpdate& lazy) {
   // LazyUpdate delivery (the publisher pushes one immediately on view
   // changes) re-synchronizes it, even if the CSN happens to match.
   if (recovering_) finish_recovery();
-  if (lazy.csn <= my_csn_) return;
-  object_->install_snapshot(lazy.snapshot);
-  my_csn_ = lazy.csn;
+  if (!newer_state(lazy.csn, lazy.horizons)) return;
+  install_state(lazy.snapshot, lazy.csn, lazy.horizons);
   ++stats_.lazy_updates_installed;
   metrics_.lazy_updates_installed.inc();
   recheck_waiting_reads();
@@ -580,7 +708,7 @@ void ReplicaServer::begin_recovery() {
   if (recovering_ || crashed_) return;
   recovering_ = true;
   recovery_started_at_ = exec_.now();
-  last_stall_head_ = 0;
+  last_stall_.reset();
   // Secondaries synchronize passively from the next lazy propagation (the
   // publisher pushes one on every replication view change); only primaries
   // pull a snapshot, because they must also reconstruct the commit
@@ -626,7 +754,7 @@ std::optional<net::NodeId> ReplicaServer::choose_transfer_target() const {
 void ReplicaServer::handle_state_request(net::NodeId from) {
   // Only a synchronized primary may serve a transfer; a recovering one
   // would hand out the very hole it is trying to fill.
-  if (!is_primary_ || recovering_ || crashed_) return;
+  if (!is_primary_ || !serves_state() || crashed_) return;
   if (replication_member_ == nullptr || !replication_member_->joined()) return;
   if (!replication_member_->view().contains(from)) return;
   auto snap = std::make_shared<StateSnapshot>();
@@ -634,6 +762,7 @@ void ReplicaServer::handle_state_request(net::NodeId from) {
   snap->gsn = my_gsn_;
   snap->snapshot = object_->snapshot();
   snap->committed.assign(committed_order_.begin(), committed_order_.end());
+  snap->horizons = horizons_;
   ++stats_.state_snapshots_served;
   metrics_.state_snapshots_served.inc();
   replication_member_->send_to(from, snap);
@@ -641,9 +770,16 @@ void ReplicaServer::handle_state_request(net::NodeId from) {
 
 void ReplicaServer::handle_state_snapshot(const StateSnapshot& snap) {
   if (!recovering_ || !is_primary_) return;  // late duplicate
-  if (snap.csn > my_csn_) {
-    object_->install_snapshot(snap.snapshot);
-    my_csn_ = snap.csn;
+  // FIFO: a snapshot lacking an update this replica already applied can be
+  // neither installed nor adopted without losing that update. Drop the
+  // barrier regardless; if a hole remains, the stall watchdog asks again.
+  if (covers_horizons(snap.horizons)) adopt_state(snap);
+  finish_recovery();
+}
+
+void ReplicaServer::adopt_state(const StateSnapshot& snap) {
+  if (newer_state(snap.csn, snap.horizons)) {
+    install_state(snap.snapshot, snap.csn, snap.horizons);
     ++stats_.state_snapshots_installed;
     metrics_.state_snapshots_installed.inc();
   }
@@ -664,7 +800,7 @@ void ReplicaServer::handle_state_snapshot(const StateSnapshot& snap) {
       gsn_of_update_.erase(it);
     }
   }
-  finish_recovery();
+  drop_blocked_updates();
 }
 
 void ReplicaServer::finish_recovery() {
@@ -682,31 +818,34 @@ void ReplicaServer::finish_recovery() {
 
 void ReplicaServer::check_commit_stall() {
   if (crashed_ || !is_primary_ || recovering_) {
-    last_stall_head_ = 0;
+    last_stall_.reset();
     return;
   }
-  const core::Gsn head = next_enqueue_gsn_ + 1;
-  bool stalled = false;
-  if (!update_gsn_.empty()) {
-    const auto first = update_gsn_.begin();
-    if (first->first > head) {
-      // Assignment gap: GSNs below the first known assignment were
-      // broadcast before this replica (re)joined and will never arrive.
-      stalled = true;
-    } else if (first->first == head && !committed_.contains(first->second) &&
-               !update_payload_.contains(first->second)) {
-      // Head assigned but its payload is missing (lost before the client
-      // learned this replica exists, or the client gave up retrying).
-      stalled = true;
-    }
-  }
-  if (stalled && last_stall_head_ == head) {
+  const std::optional<RequestId> hole = commit_hole();
+  if (hole && hole == last_stall_) {
     // Stuck on the same hole for a full check period: re-enter recovery
     // and jump past it via a snapshot from a synchronized primary.
     begin_recovery();
     return;
   }
-  last_stall_head_ = stalled ? head : 0;
+  last_stall_ = hole;
+}
+
+std::optional<RequestId> ReplicaServer::commit_hole() const {
+  if (fifo()) return blocked_update();
+  const core::Gsn head = next_enqueue_gsn_ + 1;
+  if (update_gsn_.empty()) return std::nullopt;
+  const auto first = update_gsn_.begin();
+  // Assignment gap: GSNs below the first known assignment were broadcast
+  // before this replica (re)joined and will never arrive. Or the head is
+  // assigned but its payload is missing (lost before the client learned
+  // this replica exists, or the client gave up retrying).
+  const bool stalled =
+      first->first > head ||
+      (first->first == head && !committed_.contains(first->second) &&
+       !update_payload_.contains(first->second));
+  if (!stalled) return std::nullopt;
+  return RequestId{net::NodeId{}, head};
 }
 
 // ---------------------------------------------------------------------------
@@ -727,7 +866,7 @@ void ReplicaServer::maybe_start_service() {
   // The sequencer's bookkeeping and no-op commits are free; real request
   // processing takes a sampled service delay (the paper's simulated
   // background load).
-  const bool free = (job.is_update && job.op == nullptr) || is_sequencer_;
+  const bool free = (job.is_update && job.op == nullptr) || is_sequencer();
   const sim::Duration service_time =
       free ? sim::Duration::zero() : config_.service_time->sample(rng_);
   const sim::TimePoint service_start = exec_.now();
@@ -744,14 +883,19 @@ void ReplicaServer::complete_job(const Job& job, sim::Duration service_time,
   span(obs::SpanKind::kExecute, job.id, job.client, job.is_update ? 1 : 0,
        service_time);
   if (job.is_update) {
-    if (job.op != nullptr) {
+    if (fifo_applied(job.id)) {
+      // FIFO: a snapshot installed while this job was queued already
+      // reflects it — consume it without applying twice.
+      update_payload_.erase(job.id);
+    } else if (job.op != nullptr) {
       net::MessagePtr result = object_->apply_update(job.op);
       ++my_csn_;
       ++stats_.updates_committed;
       metrics_.updates_committed.inc();
       remember_committed(job.id);
       update_payload_.erase(job.id);
-      if (!is_sequencer_) {
+      advance_horizon(job.id);
+      if (!is_sequencer()) {
         const sim::Duration tq = service_start - job.arrival;
         metrics_.service_ms.observe(sim::to_ms(service_time));
         metrics_.queueing_ms.observe(sim::to_ms(tq));

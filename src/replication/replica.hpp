@@ -17,6 +17,22 @@
 // Roles are derived from the primary-group view, so they fail over
 // automatically: a sequencer crash elects the next primary as leader (and
 // thus sequencer), a lazy-publisher crash re-designates the last member.
+//
+// Ordering is a per-service policy (ServiceGroups::ordering). Under
+// kSequential the primary-group leader is the sequencer, as above. Under
+// kFifo there is no sequencer (the leader is an ordinary primary that also
+// publishes the role map) and only three decisions change:
+//   * a primary applies a client's update once it has applied that
+//     client's previous one (UpdateRequest::after), not in GSN order;
+//   * a read is ready once the replica has applied the client's update
+//     ReadRequest::after (read-your-writes), not when its GSN staleness is
+//     within the threshold;
+//   * lazy updates and state transfers carry the per-client horizons the
+//     snapshot reflects, and a snapshot is newer when it covers them; a
+//     recovering primary still serves transfers, and a transfer that does
+//     not cover the receiver ends its recovery without being installed.
+// The service queue, caches, roles, perf publication, spans, recovery and
+// eviction handling are shared by both policies.
 #pragma once
 
 #include <cstdint>
@@ -115,7 +131,11 @@ class ReplicaServer {
   /// Arrival time of the first read request addressed to this replica —
   /// for a reborn replica this is the client re-admission instant.
   sim::TimePoint first_read_request_at() const { return first_read_request_at_; }
-  bool is_sequencer() const { return is_sequencer_; }
+  /// The primary-group leader sequences, under sequential ordering only.
+  bool is_sequencer() const { return is_leader_ && !fifo(); }
+  /// FIFO ordering: seq of `client`'s latest update applied here (0 if none).
+  std::uint64_t horizon_of(net::NodeId client) const;
+  const Horizons& horizons() const { return horizons_; }
   bool is_lazy_publisher() const { return is_lazy_publisher_; }
   core::Gsn gsn() const { return my_gsn_; }
   core::Csn csn() const { return my_csn_; }
@@ -153,7 +173,14 @@ class ReplicaServer {
   std::optional<net::NodeId> choose_transfer_target() const;
   void handle_state_request(net::NodeId from);
   void handle_state_snapshot(const StateSnapshot& snap);
+  /// Installs `snap` if newer and takes over its commit position and dedup
+  /// set. Only for a snapshot that covers this replica's horizons.
+  void adopt_state(const StateSnapshot& snap);
   void check_commit_stall();
+  /// The missing request the commit pipeline is stuck behind, if any: an
+  /// unassigned or payload-less head GSN (sequential), or a waiting update
+  /// whose predecessor never arrived (FIFO).
+  std::optional<RequestId> commit_hole() const;
   void on_member_eviction();
 
   // ---- sequencer ----
@@ -164,17 +191,45 @@ class ReplicaServer {
 
   // ---- commit pipeline (primaries) ----
   void try_enqueue_commits();
-  void advance_csn();
+  void enqueue_fifo_updates();
+  /// FIFO: the first waiting update whose predecessor is neither applied
+  /// nor held here.
+  std::optional<RequestId> blocked_update() const;
+  void drop_blocked_updates();
+
+  // ---- ordering-policy decision points ----
+  bool fifo() const { return groups_.ordering == core::Ordering::kFifo; }
+  /// FIFO: this replica's state already reflects update `id`.
+  bool fifo_applied(const RequestId& id) const;
+  /// Every per-client horizon of this replica is <= the one in `horizons`
+  /// (trivially true under sequential ordering, which keeps none).
+  bool covers_horizons(const Horizons& horizons) const;
+  /// Whether a snapshot at (csn, horizons) is strictly newer than this
+  /// replica's state: a higher CSN (sequential) or covering, not equal,
+  /// per-client horizons (FIFO).
+  bool newer_state(core::Csn csn, const Horizons& horizons) const;
+  void install_state(const net::MessagePtr& snapshot, core::Csn csn,
+                     const Horizons& horizons);
+  /// FIFO: records update `id` as applied and releases the client's next.
+  void advance_horizon(const RequestId& id);
+  /// Whether this primary may answer a StateRequest.
+  bool serves_state() const;
 
   // ---- read pipeline ----
   struct PendingRead {
     std::shared_ptr<const ReadRequest> request;
     net::NodeId client;
     sim::TimePoint arrival;
+    /// Sequential ordering: the read's GSN, set when its broadcast
+    /// arrives. FIFO reads carry their context in the request instead.
     std::optional<core::Gsn> gsn;
+    /// When the read could first be judged: its GSN's arrival (sequential)
+    /// or its own (FIFO). A deferred read's lazy wait U starts here.
     sim::TimePoint gsn_at = sim::kEpoch;
     bool deferred = false;  // waited for a lazy update
   };
+  enum class ReadState { kAwaitingGsn, kTooStale, kReady };
+  ReadState read_state(const PendingRead& pending) const;
   void try_ready_read(const RequestId& id);
   void recheck_waiting_reads();
 
@@ -233,7 +288,7 @@ class ReplicaServer {
   std::shared_ptr<const bool> alive_ = std::make_shared<bool>(true);
 
   // Roles (derived from the primary-group view).
-  bool is_sequencer_ = false;
+  bool is_leader_ = false;  // publishes the role map (and may sequence)
   bool is_lazy_publisher_ = false;
   /// Sequencing stays inactive after a takeover until the replication
   /// group's view has excluded the previous sequencer — guarantees the old
@@ -254,7 +309,7 @@ class ReplicaServer {
   sim::TimePoint recovered_at_ = sim::kEpoch;
   sim::TimePoint first_read_request_at_ = sim::kEpoch;
   std::unique_ptr<runtime::PeriodicTask> stall_task_;
-  core::Gsn last_stall_head_ = 0;
+  std::optional<RequestId> last_stall_;
 
   // Sequential-consistency protocol state (Section 4.1).
   core::Gsn my_gsn_ = 0;
@@ -269,12 +324,16 @@ class ReplicaServer {
   // Update commit pipeline.
   std::unordered_map<RequestId, std::shared_ptr<const UpdateRequest>>
       update_payload_;                              // awaiting GSN
-  std::unordered_map<RequestId, net::NodeId> update_client_;
   std::map<core::Gsn, RequestId> update_gsn_;       // assigned, awaiting payload
   std::unordered_map<RequestId, core::Gsn> gsn_of_update_;
   core::Gsn next_enqueue_gsn_ = 0;  // last update GSN handed to the queue
   std::set<RequestId> committed_;   // dedup (bounded via committed_order_)
   std::deque<RequestId> committed_order_;
+
+  // FIFO ordering state.
+  Horizons horizons_;  // applied per-client update horizon
+  /// Updates whose payload is held but whose predecessor is not applied.
+  std::set<RequestId> waiting_updates_;
 
   // Read pipeline.
   std::unordered_map<RequestId, core::Gsn> gsn_of_read_;

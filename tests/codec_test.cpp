@@ -13,7 +13,6 @@
 #include "gcs/messages.hpp"
 #include "net/codec.hpp"
 #include "net/message.hpp"
-#include "replication/fifo.hpp"
 #include "replication/messages.hpp"
 #include "replication/objects.hpp"
 #include "sim/random.hpp"
@@ -193,52 +192,6 @@ std::vector<net::MessagePtr> exemplars() {
     out.push_back(m);
   }
 
-  // ---- FIFO handler (0x3*) ----
-  {
-    auto m = std::make_shared<replication::FifoUpdateRequest>();
-    m->id = {net::NodeId{23}, 2};
-    m->op = make_kv_put();
-    out.push_back(m);
-  }
-  {
-    auto m = std::make_shared<replication::FifoReadRequest>();
-    m->id = {net::NodeId{23}, 3};
-    auto op = std::make_shared<replication::KvGet>();
-    op->key = "k0";
-    m->op = op;
-    m->horizon = 2;
-    out.push_back(m);
-  }
-  {
-    auto m = std::make_shared<replication::FifoReply>();
-    m->id = {net::NodeId{23}, 3};
-    m->is_update = false;
-    auto result = std::make_shared<replication::KvResult>();
-    result->version = 2;
-    m->result = result;
-    m->replica = net::NodeId{2};
-    m->t1 = std::chrono::milliseconds(30);
-    m->deferred = true;
-    out.push_back(m);
-  }
-  {
-    auto m = std::make_shared<replication::FifoLazyUpdate>();
-    auto snap = std::make_shared<replication::KvSnapshot>();
-    snap->version = 2;
-    m->snapshot = snap;
-    m->horizons = {{net::NodeId{23}, 2}};
-    m->lazy_seq = 1;
-    out.push_back(m);
-  }
-  {
-    auto m = std::make_shared<replication::FifoGroupInfo>();
-    m->epoch = 2;
-    m->primaries = {net::NodeId{2}};
-    m->secondaries = {net::NodeId{11}};
-    m->lazy_publisher = net::NodeId{2};
-    out.push_back(m);
-  }
-
   // ---- example replicated objects (0x4*) ----
   out.push_back(make_kv_put());
   {
@@ -410,6 +363,155 @@ TEST_F(CodecTest, TrailingPayloadBytesThrow) {
   bytes.push_back(0);
   net::Reader r(bytes);
   EXPECT_THROW(net::decode_frame(r), net::CodecError);
+}
+
+TEST_F(CodecTest, RetiredFifoIdsStayUnregistered) {
+  // 0x31-0x35 belonged to the former stand-alone FIFO stack. They are
+  // retired, never reused: no decoder, and a frame naming one is rejected.
+  for (net::WireTypeId id = 0x31; id <= 0x35; ++id) {
+    SCOPED_TRACE(id);
+    EXPECT_FALSE(net::CodecRegistry::global().contains(id));
+    EXPECT_EQ(net::CodecRegistry::global().find(id), nullptr);
+    auto bytes = net::encode_frame(*make_kv_put());
+    for (int i = 0; i < 4; ++i) {
+      bytes[5 + i] = static_cast<std::uint8_t>(id >> (8 * i));
+    }
+    net::Reader r(bytes);
+    try {
+      (void)net::decode_frame(r);
+      ADD_FAILURE() << "retired id decoded";
+    } catch (const net::CodecError& e) {
+      EXPECT_NE(std::string(e.what()).find("unknown wire type id"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+/// FIFO-policy state on the shared replication types: one message per
+/// type with its trailing extension set.
+std::vector<net::MessagePtr> fifo_exemplars() {
+  std::vector<net::MessagePtr> out;
+  {
+    auto m = std::make_shared<replication::UpdateRequest>();
+    m->id = {net::NodeId{23}, 4};
+    m->op = make_kv_put();
+    m->after = 2;
+    out.push_back(m);
+  }
+  {
+    auto m = std::make_shared<replication::ReadRequest>();
+    m->id = {net::NodeId{23}, 5};
+    auto op = std::make_shared<replication::KvGet>();
+    op->key = "k0";
+    m->op = op;
+    m->staleness_threshold = 0;
+    m->after = 4;
+    out.push_back(m);
+  }
+  {
+    auto m = std::make_shared<replication::LazyUpdate>();
+    m->csn = 2;
+    auto snap = std::make_shared<replication::KvSnapshot>();
+    snap->version = 2;
+    m->snapshot = snap;
+    m->lazy_seq = 1;
+    m->horizons = {{net::NodeId{23}, 4}, {net::NodeId{24}, 1}};
+    out.push_back(m);
+  }
+  {
+    auto m = std::make_shared<replication::StateSnapshot>();
+    m->csn = 2;
+    auto snap = std::make_shared<replication::KvSnapshot>();
+    snap->version = 2;
+    m->snapshot = snap;
+    m->committed = {{net::NodeId{23}, 4}};
+    m->horizons = {{net::NodeId{23}, 4}};
+    out.push_back(m);
+  }
+  return out;
+}
+
+TEST_F(CodecTest, FifoFieldsRoundTripOnSharedTypes) {
+  for (const auto& m : fifo_exemplars()) {
+    SCOPED_TRACE(m->type_name());
+    const std::vector<std::uint8_t> bytes = net::encode_frame(*m);
+    net::Reader r(bytes);
+    net::MessagePtr decoded;
+    ASSERT_NO_THROW(decoded = net::decode_frame(r));
+    EXPECT_TRUE(r.done());
+    EXPECT_EQ(net::encode_frame(*decoded), bytes);
+    EXPECT_EQ(m->wire_size(), bytes.size());
+    for (std::size_t len = 0; len < bytes.size(); ++len) {
+      net::Reader prefix(bytes.data(), len);
+      EXPECT_THROW(net::decode_frame(prefix), net::CodecError) << len;
+    }
+  }
+}
+
+TEST_F(CodecTest, SequentialFramesCarryNoFifoBytes) {
+  // The FIFO extension is written only when set: a sequential-policy
+  // frame is exactly the pre-extension layout.
+  replication::ReadRequest read;
+  read.id = {net::NodeId{7}, 9};
+  read.op = make_kv_put();
+  read.staleness_threshold = 3;
+  net::Writer legacy;
+  legacy.node(read.id.client);
+  legacy.u64(read.id.seq);
+  net::encode_nested(legacy, read.op);
+  legacy.u64(read.staleness_threshold);
+  net::Writer w;
+  read.encode(w);
+  EXPECT_EQ(w.bytes(), legacy.bytes());
+
+  replication::LazyUpdate lazy;
+  lazy.csn = 4;
+  lazy.lazy_seq = 2;
+  net::Writer lazy_legacy;
+  lazy_legacy.u64(lazy.csn);
+  net::encode_nested(lazy_legacy, nullptr);
+  lazy_legacy.u64(lazy.lazy_seq);
+  net::Writer lw;
+  lazy.encode(lw);
+  EXPECT_EQ(lw.bytes(), lazy_legacy.bytes());
+
+  // Setting the extension adds exactly its own bytes.
+  replication::ReadRequest with_after = read;
+  with_after.after = 5;
+  EXPECT_EQ(with_after.wire_size(), read.wire_size() + 8);
+}
+
+TEST_F(CodecTest, DefaultValuedFifoExtensionIsRejected) {
+  // An explicitly encoded zero `after` (or empty horizons) would decode to
+  // the same message as no extension: non-canonical, so it must throw.
+  replication::UpdateRequest update;
+  update.id = {net::NodeId{7}, 9};
+  update.op = make_kv_put();
+  net::Writer payload;
+  update.encode(payload);
+  payload.u64(0);
+  net::Writer frame;
+  frame.u32(net::kWireMagic);
+  frame.u8(net::kWireVersion);
+  frame.u32(replication::kWireUpdate);
+  frame.u32(static_cast<std::uint32_t>(payload.size()));
+  frame.raw(payload.bytes().data(), payload.size());
+  net::Reader r(frame.bytes());
+  EXPECT_THROW(net::decode_frame(r), net::CodecError);
+
+  replication::LazyUpdate lazy;
+  net::Writer lazy_payload;
+  lazy.encode(lazy_payload);
+  lazy_payload.u32(0);  // empty horizons map
+  net::Writer lazy_frame;
+  lazy_frame.u32(net::kWireMagic);
+  lazy_frame.u8(net::kWireVersion);
+  lazy_frame.u32(replication::kWireLazyUpdate);
+  lazy_frame.u32(static_cast<std::uint32_t>(lazy_payload.size()));
+  lazy_frame.raw(lazy_payload.bytes().data(), lazy_payload.size());
+  net::Reader lr(lazy_frame.bytes());
+  EXPECT_THROW(net::decode_frame(lr), net::CodecError);
 }
 
 TEST_F(CodecTest, MessageWithoutCodecSupportIsRejected) {

@@ -1,17 +1,15 @@
 // Multiple replicated services sharing one LAN (paper Figure 2: a client
-// gateway talks to service A with the TOTAL handler and service B with
-// the FIFO handler simultaneously).
+// gateway talks to service A with the TOTAL ordering and service B with
+// FIFO ordering simultaneously).
 #include <gtest/gtest.h>
 
 #include <chrono>
 #include <memory>
 #include <vector>
 
-#include "client/fifo_handler.hpp"
 #include "client/handler.hpp"
 #include "gcs/endpoint.hpp"
 #include "net/loopback.hpp"
-#include "replication/fifo.hpp"
 #include "replication/objects.hpp"
 #include "replication/replica.hpp"
 #include "sim/simulator.hpp"
@@ -95,45 +93,43 @@ TEST(MultiService, TwoSequentialServicesAreIsolated) {
 
 TEST(MultiService, SequentialAndFifoHandlersCoexist) {
   // One client process talks TOTAL to service A and FIFO to service B
-  // through the same gateway endpoint — the paper's Figure 2 picture.
+  // through the same gateway endpoint — the paper's Figure 2 picture. Both
+  // run the same server and client handler classes; only the services'
+  // ordering policy differs.
   sim::Simulator sim(9);
   net::LoopbackTransport network(sim, std::make_unique<sim::NormalDuration>(
                                 milliseconds(1), std::chrono::microseconds(200)));
   gcs::Directory directory;
   const auto groups_a = replication::ServiceGroups::for_service(1);
-  const auto groups_b = replication::ServiceGroups::for_service(2);
+  const auto groups_b =
+      replication::ServiceGroups::for_service(2, core::Ordering::kFifo);
 
   std::vector<std::unique_ptr<gcs::Endpoint>> endpoints;
-  std::vector<std::unique_ptr<replication::ReplicaServer>> seq_replicas;
-  std::vector<std::unique_ptr<replication::FifoReplicaServer>> fifo_replicas;
-  for (int i = 0; i < 3; ++i) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    replication::ReplicaConfig config;
-    config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
-    seq_replicas.push_back(std::make_unique<replication::ReplicaServer>(
-        sim, *endpoint, groups_a, i < 2,
-        std::make_unique<replication::SharedDocument>(), std::move(config)));
-    endpoints.push_back(std::move(endpoint));
+  std::vector<std::unique_ptr<replication::ReplicaServer>> replicas;
+  for (const auto* groups : {&groups_a, &groups_b}) {
+    for (int i = 0; i < 3; ++i) {
+      auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
+      replication::ReplicaConfig config;
+      config.service_time =
+          std::make_shared<sim::FixedDuration>(milliseconds(10));
+      replicas.push_back(std::make_unique<replication::ReplicaServer>(
+          sim, *endpoint, *groups, i < 2,
+          std::make_unique<replication::SharedDocument>(), std::move(config)));
+      endpoints.push_back(std::move(endpoint));
+    }
   }
-  for (int i = 0; i < 3; ++i) {
-    auto endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
-    replication::FifoReplicaConfig config;
-    config.service_time = std::make_shared<sim::FixedDuration>(milliseconds(10));
-    fifo_replicas.push_back(std::make_unique<replication::FifoReplicaServer>(
-        sim, *endpoint, groups_b, i < 2,
-        std::make_unique<replication::SharedDocument>(), std::move(config)));
-    endpoints.push_back(std::move(endpoint));
-  }
-  for (std::size_t i = 0; i < 3; ++i) {
-    sim.after(milliseconds(10 * (i + 1)), [&, i] { seq_replicas[i]->start(); });
-    sim.after(milliseconds(10 * (i + 4)), [&, i] { fifo_replicas[i]->start(); });
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    sim.after(milliseconds(10 * (i + 1)), [&, i] { replicas[i]->start(); });
   }
 
   // Single client endpoint, two handlers — one per service, as an AQuA
   // gateway hosts one handler per contacted service.
   auto client_endpoint = std::make_unique<gcs::Endpoint>(sim, network, directory);
   client::ClientHandler total_handler(sim, *client_endpoint, groups_a, {});
-  client::FifoClientHandler fifo_handler(sim, *client_endpoint, groups_b);
+  client::ClientConfig fifo_config;
+  fifo_config.read_your_writes = true;
+  client::ClientHandler fifo_handler(sim, *client_endpoint, groups_b,
+                                     std::move(fifo_config));
   total_handler.start();
   fifo_handler.start();
   sim.run_for(seconds(2));
@@ -147,9 +143,11 @@ TEST(MultiService, SequentialAndFifoHandlersCoexist) {
   fifo_handler.update(append("fifo-doc"), {});
   sim.run_for(seconds(1));
 
+  // Both reads must reflect the client's own update: staleness 0 on the
+  // sequential service, read-your-writes on the FIFO one.
   std::string total_line, fifo_line;
   total_handler.read(std::make_shared<replication::DocRead>(),
-                     {.staleness_threshold = 2,
+                     {.staleness_threshold = 0,
                       .deadline = seconds(1),
                       .min_probability = 0.5},
                      [&](const client::ReadOutcome& o) {
@@ -160,8 +158,7 @@ TEST(MultiService, SequentialAndFifoHandlersCoexist) {
                     {.staleness_threshold = 0,
                      .deadline = seconds(1),
                      .min_probability = 0.5},
-                    /*read_your_writes=*/true,
-                    [&](const client::FifoReadOutcome& o) {
+                    [&](const client::ReadOutcome& o) {
                       auto doc = net::message_cast<replication::DocContents>(o.result);
                       if (doc && !doc->lines.empty()) fifo_line = doc->lines[0];
                     });
@@ -169,6 +166,8 @@ TEST(MultiService, SequentialAndFifoHandlersCoexist) {
 
   EXPECT_EQ(total_line, "sequential-doc");
   EXPECT_EQ(fifo_line, "fifo-doc");
+  EXPECT_TRUE(replicas[0]->is_sequencer());
+  EXPECT_FALSE(replicas[3]->is_sequencer());
 }
 
 }  // namespace
