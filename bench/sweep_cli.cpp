@@ -1,10 +1,11 @@
-// sweep_cli: run a named bench plan over a seed range on the parallel
-// sweep engine.
+// sweep_cli: the one driver for scenario experiments. Runs a named plan
+// (src/runner/plans.cpp) over a seed range on the parallel sweep engine.
 //
 //   sweep_cli --plan recovery --seeds 32 --threads 8
 //
-// fans 32 shared-nothing scenario runs across 8 workers and writes
-// BENCH_recovery.json. The merged output is byte-identical for any
+// fans 32 shared-nothing scenario runs across 8 workers, prints a summary
+// per config point, writes BENCH_recovery.json, and exits non-zero unless
+// the plan's pass gate holds. The merged output is byte-identical for any
 // --threads value (a --threads 1 run is the oracle), which --self-bench
 // verifies end-to-end: it runs the same spec single- and multi-threaded,
 // compares the bytes, and writes BENCH_sweep.json with the measured
@@ -13,8 +14,10 @@
 #include <fstream>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "harness/cli.hpp"
+#include "harness/stats.hpp"
 #include "obs/json.hpp"
 #include "obs/metrics.hpp"
 #include "runner/plans.hpp"
@@ -104,18 +107,72 @@ CliOptions parse(int argc, char** argv) {
   return opt;
 }
 
-/// Plan-specific pass/fail over the pooled counters, mirroring the exit
-/// gates the serial benches enforced (recovery must recover every seed,
-/// chaos must see zero invariant violations, nothing may throw).
-bool gates_pass(const runner::Plan& plan, const runner::SweepResult& result) {
-  if (!result.all_ok()) return false;
-  if (plan.name == "recovery") {
-    return result.pooled_counter_or_zero("recovered") == result.rows.size() &&
-           result.pooled_counter_or_zero("gsn_conflicts") == 0;
+void print_binomial(const std::string& label, std::uint64_t failures,
+                    std::uint64_t trials) {
+  const auto ci = harness::binomial_ci_wilson(failures, trials);
+  std::cout << "  " << label << ": " << ci.point << " [" << ci.lower << ", "
+            << ci.upper << "] (" << failures << "/" << trials << ")\n";
+}
+
+/// Console summary, one block per config point: the plan's binomials over
+/// that point's rows (rate and 95% Wilson CI), the mean over seeds of each
+/// scalar value, and each counter's total; then, for a multi-point plan,
+/// the pooled binomials and counters over every row. Console only; the
+/// JSON is untouched.
+void print_summary(const runner::Plan& plan, const runner::SweepSpec& spec,
+                   const runner::SweepResult& result) {
+  for (std::size_t point = 0; point < plan.points.size(); ++point) {
+    std::vector<const runner::SeedRecord*> rows;
+    for (std::size_t i = 0; i < result.rows.size(); ++i) {
+      if (spec.units[i].point == point && result.rows[i].ok) {
+        rows.push_back(&result.rows[i]);
+      }
+    }
+    std::cout << plan.points[point] << " (" << rows.size() << " seed"
+              << (rows.size() == 1 ? "" : "s") << ")\n";
+    for (const runner::BinomialSpec& b : plan.binomials) {
+      std::uint64_t failures = 0, trials = 0;
+      for (const runner::SeedRecord* row : rows) {
+        failures += row->counter_or_zero(b.failures);
+        trials += row->counter_or_zero(b.trials);
+      }
+      print_binomial(b.label, failures, trials);
+    }
+    if (rows.empty()) continue;
+    // A plan's rows share one schema, so the first row names the fields.
+    for (const auto& [name, first] : rows.front()->values) {
+      double sum = 0.0;
+      for (const runner::SeedRecord* row : rows) sum += row->value_or(name);
+      std::cout << "  " << name << ": "
+                << sum / static_cast<double>(rows.size()) << "\n";
+    }
+    for (const auto& [name, first] : rows.front()->counters) {
+      std::uint64_t total = 0;
+      for (const runner::SeedRecord* row : rows) {
+        total += row->counter_or_zero(name);
+      }
+      std::cout << "  " << name << ": " << total << "\n";
+    }
   }
-  if (plan.name == "chaos" || plan.name == "chaos_recovery") {
-    return result.pooled_counter_or_zero("violations") == 0;
+  if (plan.points.size() == 1) return;  // the one point is the pool
+  std::cout << "pooled\n";
+  for (const auto& b : result.binomials) {
+    print_binomial(b.label, b.failures, b.trials);
   }
+  for (const auto& [name, v] : result.pooled_counters) {
+    std::cout << "  " << name << ": " << v << "\n";
+  }
+}
+
+/// Writes the progress gauges to `path`; false when it cannot be opened.
+bool write_metrics(const std::string& path,
+                   const obs::MetricsRegistry& metrics) {
+  std::ofstream os(path);
+  if (!os) {
+    std::cerr << "sweep_cli: cannot write " << path << "\n";
+    return false;
+  }
+  metrics.write_json(os);
   return true;
 }
 
@@ -163,10 +220,12 @@ int self_bench(const CliOptions& opt, const runner::Plan& plan) {
     const std::string path =
         opt.json_out.empty() ? "BENCH_" + plan.name + ".json" : opt.json_out;
     std::ofstream os(path);
-    if (os) {
-      os << jsonn;
-      std::cout << "wrote " << path << "\n";
+    if (!os) {
+      std::cerr << "sweep_cli: cannot write " << path << "\n";
+      return 1;
     }
+    os << jsonn;
+    std::cout << "wrote " << path << "\n";
   }
   const std::string timing_path =
       opt.timing_out.empty() ? "BENCH_sweep.json" : opt.timing_out;
@@ -193,11 +252,12 @@ int self_bench(const CliOptions& opt, const runner::Plan& plan) {
     os << "\n";
     std::cout << "wrote " << timing_path << "\n";
   }
-  if (!opt.metrics_out.empty()) {
-    std::ofstream os(opt.metrics_out);
-    if (os) metrics.write_json(os);
+  if (!opt.metrics_out.empty() && !write_metrics(opt.metrics_out, metrics)) {
+    return 1;
   }
-  return identical && gates_pass(plan, r1) && gates_pass(plan, rn) ? 0 : 1;
+  return identical && runner::passes(plan, r1) && runner::passes(plan, rn)
+             ? 0
+             : 1;
 }
 
 }  // namespace
@@ -242,14 +302,7 @@ int main(int argc, char** argv) {
             << result.wall_seconds << "s";
   if (result.failed > 0) std::cout << "; " << result.failed << " FAILED";
   std::cout << "\n";
-  for (const auto& b : result.binomials) {
-    std::cout << "  " << b.label << ": " << b.ci.point << " [" << b.ci.lower
-              << ", " << b.ci.upper << "] (" << b.failures << "/" << b.trials
-              << ")\n";
-  }
-  for (const auto& [name, v] : result.pooled_counters) {
-    std::cout << "  " << name << ": " << v << "\n";
-  }
+  print_summary(*plan, spec, result);
 
   if (opt.json) {
     const std::string path =
@@ -262,9 +315,12 @@ int main(int argc, char** argv) {
     runner::write_sweep_json(os, spec, result);
     std::cout << "wrote " << path << "\n";
   }
-  if (!opt.metrics_out.empty()) {
-    std::ofstream os(opt.metrics_out);
-    if (os) metrics.write_json(os);
+  if (!opt.metrics_out.empty() && !write_metrics(opt.metrics_out, metrics)) {
+    return 1;
   }
-  return gates_pass(*plan, result) ? 0 : 1;
+  if (!runner::passes(*plan, result)) {
+    std::cerr << "sweep_cli: plan " << plan->name << " failed its pass gate\n";
+    return 1;
+  }
+  return 0;
 }

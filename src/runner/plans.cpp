@@ -2,11 +2,15 @@
 
 #include <algorithm>
 #include <chrono>
+#include <functional>
 #include <iomanip>
+#include <map>
+#include <memory>
 #include <sstream>
 
 #include "fault/schedule.hpp"
 #include "harness/scenario.hpp"
+#include "harness/stats.hpp"
 #include "harness/table.hpp"
 #include "obs/sinks.hpp"
 #include "replication/objects.hpp"
@@ -48,6 +52,86 @@ class UnitTelemetry {
   std::ostringstream jsonl_;
   obs::JsonlSnapshotSink sink_;
 };
+
+// ---------------------------------------------------------- paper workload
+
+/// The paper's two-client workload (Section 6.1), which most plans vary
+/// one knob of: client 1 at a=4, d=200 ms, Pc=0.1 next to client 2, the
+/// measured client, at a=2, d=140 ms, Pc=0.9; both with a 1 s request
+/// delay.
+harness::ScenarioConfig paper_workload(std::uint64_t seed,
+                                       std::size_t requests,
+                                       sim::Duration lazy_update_interval) {
+  harness::ScenarioConfig config;
+  config.seed = seed;
+  config.lazy_update_interval = lazy_update_interval;
+  for (int c = 0; c < 2; ++c) {
+    config.clients.push_back(harness::ClientSpec{
+        .qos = {.staleness_threshold = c == 0 ? 4u : 2u,
+                .deadline = milliseconds(c == 0 ? 200 : 140),
+                .min_probability = c == 0 ? 0.1 : 0.9},
+        .request_delay = milliseconds(1000),
+        .num_requests = requests,
+    });
+  }
+  return config;
+}
+
+/// The measured client's selection and read outcomes.
+void report_reads(SeedRecord& rec, const client::ClientStats& stats) {
+  rec.value("avg_replicas_selected", stats.avg_replicas_selected());
+  rec.value("deferred_fraction",
+            stats.reads_completed == 0
+                ? 0.0
+                : static_cast<double>(stats.deferred_replies) /
+                      static_cast<double>(stats.reads_completed));
+  rec.counter("reads_completed", stats.reads_completed);
+  rec.counter("reads_abandoned", stats.reads_abandoned);
+  rec.counter("timing_failures", stats.timing_failures);
+  rec.counter("staleness_violations", stats.staleness_violations);
+  rec.counter("deferred_replies", stats.deferred_replies);
+}
+
+/// The measured client's read latency and throughput over the run's
+/// simulated span.
+void report_latency(SeedRecord& rec, const harness::ClientResult& client,
+                    sim::Duration simulated) {
+  const double simulated_s = sim::to_sec(simulated);
+  rec.value("simulated_seconds", simulated_s);
+  rec.value("throughput_rps",
+            simulated_s <= 0.0
+                ? 0.0
+                : static_cast<double>(client.stats.reads_completed) /
+                      simulated_s);
+  rec.value("avg_read_ms", sim::to_ms(client.stats.avg_response_time()));
+  const auto& times = client.read_response_times;
+  rec.value("p50_ms", harness::percentile(times, 0.50) * 1000.0);
+  rec.value("p95_ms", harness::percentile(times, 0.95) * 1000.0);
+  rec.value("p99_ms", harness::percentile(times, 0.99) * 1000.0);
+}
+
+/// Plan-specific row fields read off the finished scenario.
+using ExtraFields = std::function<void(
+    harness::Scenario&, const std::vector<harness::ClientResult>&,
+    SeedRecord&)>;
+
+/// Runs one point of a paper-workload plan: the knob values that name the
+/// point, then client 2's reads and latency, then `extra`.
+SeedRecord run_measured(
+    harness::ScenarioConfig config,
+    std::initializer_list<std::pair<const char*, double>> knobs,
+    const ExtraFields& extra = {}) {
+  harness::Scenario scenario(std::move(config));
+  UnitTelemetry telemetry(scenario);
+  const auto results = scenario.run();
+  SeedRecord rec;
+  for (const auto& [name, v] : knobs) rec.value(name, v);
+  report_reads(rec, results[1].stats);
+  report_latency(rec, results[1], scenario.executor().now() - sim::kEpoch);
+  if (extra) extra(scenario, results, rec);
+  telemetry.report(scenario, rec);
+  return rec;
+}
 
 // ---------------------------------------------------------------- recovery
 
@@ -158,19 +242,7 @@ fault::FaultSchedule failure_schedule(std::size_t point) {
 }
 
 SeedRecord run_failure_injection(const Unit& unit, std::size_t requests) {
-  harness::ScenarioConfig config;
-  config.seed = unit.seed;
-  config.lazy_update_interval = seconds(2);
-  for (int c = 0; c < 2; ++c) {
-    config.clients.push_back(harness::ClientSpec{
-        .qos = {.staleness_threshold = c == 0 ? 4u : 2u,
-                .deadline = milliseconds(c == 0 ? 200 : 140),
-                .min_probability = c == 0 ? 0.1 : 0.9},
-        .request_delay = milliseconds(1000),
-        .num_requests = requests,
-    });
-  }
-  harness::Scenario scenario(std::move(config));
+  harness::Scenario scenario(paper_workload(unit.seed, requests, seconds(2)));
   UnitTelemetry telemetry(scenario);
   scenario.apply_faults(failure_schedule(unit.point));
   auto results = scenario.run();
@@ -229,43 +301,19 @@ SeedRecord run_fig4(const Unit& unit, std::size_t requests) {
   const Fig4Config& c = configs[unit.point % configs.size()];
   const int deadline_ms = deadlines[unit.point / configs.size()];
 
-  harness::ScenarioConfig config;
-  config.seed = unit.seed;
-  config.lazy_update_interval = c.lui;
-  config.clients.push_back(harness::ClientSpec{
-      .qos = {.staleness_threshold = 4,
-              .deadline = milliseconds(200),
-              .min_probability = 0.1},
-      .request_delay = milliseconds(1000),
-      .num_requests = requests,
-  });
-  config.clients.push_back(harness::ClientSpec{
-      .qos = {.staleness_threshold = 2,
-              .deadline = milliseconds(deadline_ms),
-              .min_probability = c.pc},
-      .request_delay = milliseconds(1000),
-      .num_requests = requests,
-  });
+  harness::ScenarioConfig config =
+      paper_workload(unit.seed, requests, c.lui);
+  config.clients[1].qos.deadline = milliseconds(deadline_ms);
+  config.clients[1].qos.min_probability = c.pc;
   harness::Scenario scenario(std::move(config));
   UnitTelemetry telemetry(scenario);
   auto results = scenario.run();
-  const auto& stats = results[1].stats;  // client 2 is the measured client
 
   SeedRecord rec;
   rec.value("deadline_ms", static_cast<double>(deadline_ms));
   rec.value("pc", c.pc);
   rec.value("lui_s", sim::to_sec(c.lui));
-  rec.value("avg_replicas_selected", stats.avg_replicas_selected());
-  rec.value("deferred_fraction",
-            stats.reads_completed == 0
-                ? 0.0
-                : static_cast<double>(stats.deferred_replies) /
-                      static_cast<double>(stats.reads_completed));
-  rec.counter("reads_completed", stats.reads_completed);
-  rec.counter("reads_abandoned", stats.reads_abandoned);
-  rec.counter("timing_failures", stats.timing_failures);
-  rec.counter("staleness_violations", stats.staleness_violations);
-  rec.counter("deferred_replies", stats.deferred_replies);
+  report_reads(rec, results[1].stats);  // client 2 is the measured client
   std::vector<double> read_ms;
   read_ms.reserve(results[1].read_response_times.size());
   for (const double s : results[1].read_response_times) {
@@ -827,6 +875,268 @@ SeedRecord run_hot_shard(const Unit& unit, std::size_t requests) {
   return rec;
 }
 
+// ------------------------------------------------ paper-workload sweeps
+
+/// Section 7 ablation: the lazy-update interval T_L is the consistency/
+/// timeliness knob of the two-level replica organization.
+constexpr double kAblationLuisS[] = {1, 2, 4, 8};
+
+SeedRecord run_ablation_lui(const Unit& unit, std::size_t requests) {
+  const double lui = kAblationLuisS[unit.point];
+  return run_measured(paper_workload(unit.seed, requests, sim::from_sec(lui)),
+                      {{"lui_s", lui}});
+}
+
+/// Section 7 ablation: the request delay sets the update arrival rate and
+/// the replicas' load.
+constexpr int kAblationDelaysMs[] = {250, 500, 1000, 2000};
+
+SeedRecord run_ablation_request_delay(const Unit& unit,
+                                      std::size_t requests) {
+  const int delay = kAblationDelaysMs[unit.point];
+  harness::ScenarioConfig config =
+      paper_workload(unit.seed, requests, seconds(4));
+  for (auto& client : config.clients) {
+    client.request_delay = milliseconds(delay);
+  }
+  // Each client issues one update per write/read pair, i.e. roughly one
+  // update per 2 * (delay + ~110 ms response) per client.
+  return run_measured(std::move(config),
+                      {{"request_delay_ms", delay},
+                       {"est_lambda_u_per_s",
+                        2.0 / (2.0 * (delay / 1000.0 + 0.11))}});
+}
+
+/// Section 5's motivation: Algorithm 1 against select-all, select-one and
+/// fixed-k, plus ablations of its two design rules.
+struct BaselineSelector {
+  std::string name;
+  harness::SelectorFactory factory;
+};
+
+const std::vector<BaselineSelector>& baseline_selectors() {
+  static const std::vector<BaselineSelector> selectors = {
+      {"probabilistic (Algorithm 1)",
+       [] { return std::make_unique<core::ProbabilisticSelector>(); }},
+      {"probabilistic, no failure allowance",
+       [] {
+         return std::make_unique<core::ProbabilisticSelector>(
+             core::ProbabilisticOptions{.tolerate_one_failure = false});
+       }},
+      {"probabilistic, greedy CDF order",
+       [] {
+         return std::make_unique<core::ProbabilisticSelector>(
+             core::ProbabilisticOptions{.sort_by_ert = false});
+       }},
+      {"select-all",
+       [] { return std::make_unique<core::SelectAllSelector>(); }},
+      {"select-one (random)",
+       [] {
+         return std::make_unique<core::SelectOneSelector>(
+             core::SelectOneSelector::Policy::kRandom);
+       }},
+      {"select-one (LRU)",
+       [] {
+         return std::make_unique<core::SelectOneSelector>(
+             core::SelectOneSelector::Policy::kLeastRecentlyUsed);
+       }},
+      {"fixed-k (k=3)",
+       [] { return std::make_unique<core::FixedKSelector>(3); }},
+  };
+  return selectors;
+}
+
+SeedRecord run_baselines(const Unit& unit, std::size_t requests) {
+  harness::ScenarioConfig config =
+      paper_workload(unit.seed, requests, seconds(4));
+  for (auto& client : config.clients) {
+    client.selector = baseline_selectors()[unit.point].factory;
+  }
+  return run_measured(
+      std::move(config), {},
+      [](harness::Scenario& scenario,
+         const std::vector<harness::ClientResult>& results, SeedRecord& rec) {
+        // Load proxy: how many replica services each read consumed.
+        std::uint64_t reads_served = 0;
+        for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
+          reads_served += scenario.replica(i).stats().reads_served;
+        }
+        const std::uint64_t total_reads = results[0].stats.reads_completed +
+                                          results[1].stats.reads_completed;
+        rec.value("replica_msgs_per_read",
+                  total_reads == 0 ? 0.0
+                                   : static_cast<double>(reads_served) /
+                                         static_cast<double>(total_reads));
+      });
+}
+
+/// Section 3: the primary/secondary split of a fixed 10-replica pool, from
+/// write-all (10/0) to a small primary group feeding a large lazy tier.
+constexpr std::size_t kGroupPrimaries[] = {10, 8, 6, 4, 2};
+
+SeedRecord run_group_sizing(const Unit& unit, std::size_t requests) {
+  const std::size_t primaries = kGroupPrimaries[unit.point];
+  harness::ScenarioConfig config =
+      paper_workload(unit.seed, requests, seconds(4));
+  config.num_primaries = primaries;
+  config.num_secondaries = 10 - primaries;
+  return run_measured(
+      std::move(config),
+      {{"primaries", static_cast<double>(primaries)},
+       {"secondaries", static_cast<double>(10 - primaries)}},
+      [](harness::Scenario& scenario,
+         const std::vector<harness::ClientResult>& results, SeedRecord& rec) {
+        // Every primary (and the sequencer) services every update: the
+        // write-all cost the two-level organization avoids.
+        std::uint64_t update_services = 0;
+        for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
+          update_services += scenario.replica(i).stats().updates_committed;
+        }
+        const std::uint64_t updates = results[0].stats.updates_completed +
+                                      results[1].stats.updates_completed;
+        rec.value("avg_update_ms",
+                  sim::to_ms(results[1].stats.avg_update_response_time()));
+        rec.value("update_services_per_update",
+                  updates == 0 ? 0.0
+                               : static_cast<double>(update_services) /
+                                     static_cast<double>(updates));
+      });
+}
+
+/// The paper's 300 MHz-1 GHz testbed: pools of equal aggregate capacity
+/// with growing speed skew (sequencer + 4 primaries + 6 secondaries).
+struct SpeedPool {
+  std::string name;
+  std::vector<double> speed_factors;
+};
+
+const std::vector<SpeedPool>& speed_pools() {
+  static const std::vector<SpeedPool> pools = {
+      {"homogeneous (all 1.0x)", {1, 1, 1, 1, 1, 1, 1, 1, 1, 1, 1}},
+      {"mixed (paper-like 0.55x-1.8x)",
+       {1, 1.8, 1.25, 0.8, 0.55, 1.8, 1.25, 1.0, 0.8, 0.65, 0.55}},
+      {"fast primaries, slow secondaries",
+       {1, 1.8, 1.8, 1.8, 1.8, 0.6, 0.6, 0.6, 0.6, 0.6, 0.6}},
+      {"slow primaries, fast secondaries",
+       {1, 0.6, 0.6, 0.6, 0.6, 1.8, 1.8, 1.8, 1.8, 1.8, 1.8}},
+  };
+  return pools;
+}
+
+SeedRecord run_heterogeneous(const Unit& unit, std::size_t requests) {
+  const std::vector<double>& speeds = speed_pools()[unit.point].speed_factors;
+  harness::ScenarioConfig config =
+      paper_workload(unit.seed, requests, seconds(4));
+  config.speed_factors = speeds;
+  return run_measured(
+      std::move(config), {},
+      [&speeds](harness::Scenario& scenario,
+                const std::vector<harness::ClientResult>&, SeedRecord& rec) {
+        // Read work that landed on the slowest replica (first among equals,
+        // sequencer excluded) as a share of all reads served.
+        std::size_t slowest = 1;
+        for (std::size_t i = 1; i < scenario.num_replicas(); ++i) {
+          if (speeds[i] < speeds[slowest]) slowest = i;
+        }
+        std::uint64_t total_reads = 0;
+        for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
+          total_reads += scenario.replica(i).stats().reads_served;
+        }
+        rec.value("slowest_replica_share",
+                  total_reads == 0
+                      ? 0.0
+                      : static_cast<double>(
+                            scenario.replica(slowest).stats().reads_served) /
+                            static_cast<double>(total_reads));
+      });
+}
+
+/// Beyond the paper: open-loop Poisson arrivals at growing offered load,
+/// with both clients at d=200 ms, until the pool saturates.
+constexpr int kOpenLoopGapsMs[] = {2000, 1000, 500, 250, 125};
+
+SeedRecord run_open_loop(const Unit& unit, std::size_t requests) {
+  const int gap_ms = kOpenLoopGapsMs[unit.point];
+  harness::ScenarioConfig config =
+      paper_workload(unit.seed, requests, seconds(2));
+  for (auto& client : config.clients) {
+    client.qos.deadline = milliseconds(200);
+    client.request_delay = milliseconds(gap_ms);
+    client.arrival = harness::Arrival::kOpenPoisson;
+  }
+  return run_measured(std::move(config),
+                      {{"mean_interarrival_ms", gap_ms},
+                       {"offered_req_per_s", 2.0 * 1000.0 / gap_ms}});
+}
+
+/// Beyond the paper: every network message of the paper workload by type.
+/// gcs.data carries the whole application protocol (requests, replies, GSN
+/// broadcasts, lazy updates, performance publications); the other types
+/// are the GCS control plane, mostly the fixed-rate heartbeats.
+SeedRecord run_protocol_overhead(const Unit& unit, std::size_t requests) {
+  harness::Scenario scenario(paper_workload(unit.seed, requests, seconds(4)));
+  UnitTelemetry telemetry(scenario);
+  struct CostSink final : obs::TraceSink {
+    /// Messages and bytes per type name.
+    std::map<std::string, std::pair<std::uint64_t, std::uint64_t>> by_type;
+    std::uint64_t messages = 0;
+    std::uint64_t bytes = 0;
+    void on_message(const obs::MessageEvent& event) override {
+      auto& [type_messages, type_bytes] = by_type[event.type_name];
+      ++type_messages;
+      type_bytes += event.wire_size;
+      ++messages;
+      bytes += event.wire_size;
+    }
+  } sink;
+  scenario.transport().tracing().add(&sink);
+  const auto results = scenario.run();
+  scenario.transport().tracing().remove(&sink);
+
+  std::uint64_t reads = 0, updates = 0;
+  for (const auto& r : results) {
+    reads += r.stats.reads_completed;
+    updates += r.stats.updates_completed;
+  }
+
+  SeedRecord rec;
+  rec.value("messages_per_request",
+            reads + updates == 0 ? 0.0
+                                 : static_cast<double>(sink.messages) /
+                                       static_cast<double>(reads + updates));
+  rec.counter("reads_completed", reads);
+  rec.counter("updates_completed", updates);
+  rec.counter("messages", sink.messages);
+  rec.counter("bytes", sink.bytes);
+  for (const auto& [type, cost] : sink.by_type) {
+    rec.value(type + ".share_of_msgs",
+              static_cast<double>(cost.first) /
+                  static_cast<double>(sink.messages));
+    rec.counter(type + ".messages", cost.first);
+    rec.counter(type + ".bytes", cost.second);
+  }
+  telemetry.report(scenario, rec);
+  return rec;
+}
+
+// ------------------------------------------------------------- pass gates
+
+/// Pass gate: every named counter pools to 0.
+std::function<bool(const SweepResult&)> pooled_zero(
+    std::vector<std::string> counters) {
+  return [counters = std::move(counters)](const SweepResult& result) {
+    return std::all_of(counters.begin(), counters.end(),
+                       [&](const std::string& name) {
+                         return result.pooled_counter_or_zero(name) == 0;
+                       });
+  };
+}
+
+/// The measured client's deadline misses over its completed reads.
+std::vector<BinomialSpec> timing_failure_binomial() {
+  return {{"timing_failure", "timing_failures", "reads_completed"}};
+}
+
 std::vector<Plan> build_plans() {
   std::vector<Plan> all;
 
@@ -843,6 +1153,12 @@ std::vector<Plan> build_plans() {
         {"steady_timing_failure", "steady_failures", "steady_reads"},
     };
     p.run = run_recovery;
+    // Every seed's victim must rejoin, and no GSN may commit twice.
+    p.pass = [](const SweepResult& result) {
+      return result.pooled_counter_or_zero("recovered") ==
+                 result.rows.size() &&
+             result.pooled_counter_or_zero("gsn_conflicts") == 0;
+    };
     all.push_back(std::move(p));
   }
   {
@@ -854,10 +1170,9 @@ std::vector<Plan> build_plans() {
     p.default_requests = 400;
     p.points = {"baseline", "primary_crash", "two_secondary_crashes",
                 "sequencer_crash", "primary_crash_recovery"};
-    p.binomials = {
-        {"timing_failure", "timing_failures", "reads_completed"},
-    };
+    p.binomials = timing_failure_binomial();
     p.run = run_failure_injection;
+    p.pass = pooled_zero({"gsn_conflicts", "staleness_violations"});
     all.push_back(std::move(p));
   }
   {
@@ -871,10 +1186,9 @@ std::vector<Plan> build_plans() {
         p.points.push_back("d=" + std::to_string(d) + "ms " + c.label());
       }
     }
-    p.binomials = {
-        {"timing_failure", "timing_failures", "reads_completed"},
-    };
+    p.binomials = timing_failure_binomial();
     p.run = run_fig4;
+    p.pass = pooled_zero({"staleness_violations"});
     all.push_back(std::move(p));
   }
   {
@@ -886,6 +1200,7 @@ std::vector<Plan> build_plans() {
     p.default_requests = 80;
     p.points = {"crash_loss"};
     p.run = run_chaos;
+    p.pass = pooled_zero({"violations"});
     all.push_back(std::move(p));
   }
   {
@@ -902,6 +1217,16 @@ std::vector<Plan> build_plans() {
         {"steady_timing_failure", "steady_failures", "steady_reads"},
     };
     p.run = run_gray_failure;
+    // Gray failure may cost timeliness, never consistency — and the chaos
+    // layer must actually have injected something.
+    p.pass = [](const SweepResult& result) {
+      std::uint64_t injected = 0;
+      for (const char* name : {"messages_duplicated", "messages_reordered",
+                               "messages_delayed", "messages_dropped_loss"}) {
+        injected += result.pooled_counter_or_zero(name);
+      }
+      return result.pooled_counter_or_zero("violations") == 0 && injected > 0;
+    };
     all.push_back(std::move(p));
   }
   {
@@ -913,6 +1238,7 @@ std::vector<Plan> build_plans() {
     p.default_requests = 80;
     p.points = {"gray"};
     p.run = run_gray_chaos;
+    p.pass = pooled_zero({"violations"});
     all.push_back(std::move(p));
   }
   {
@@ -924,10 +1250,9 @@ std::vector<Plan> build_plans() {
         "agreement, and key-placement invariants (must pool to 0)";
     p.default_requests = 120;
     p.points = {"shards_1", "shards_4", "shards_16"};
-    p.binomials = {
-        {"timing_failure", "timing_failures", "reads_completed"},
-    };
+    p.binomials = timing_failure_binomial();
     p.run = run_shard_scaling;
+    p.pass = pooled_zero({"violations"});
     all.push_back(std::move(p));
   }
   {
@@ -945,6 +1270,12 @@ std::vector<Plan> build_plans() {
         {"steady_timing_failure", "steady_failures", "steady_reads"},
     };
     p.run = run_hot_shard;
+    // Only the correlated-rack point restarts replicas, so a pooled
+    // `reborn` of 0 means the rack failure never fired.
+    p.pass = [](const SweepResult& result) {
+      return result.pooled_counter_or_zero("violations") == 0 &&
+             result.pooled_counter_or_zero("reborn") > 0;
+    };
     all.push_back(std::move(p));
   }
   {
@@ -956,6 +1287,102 @@ std::vector<Plan> build_plans() {
     p.default_requests = 80;
     p.points = {"crash_restart_loss"};
     p.run = run_chaos_recovery;
+    p.pass = pooled_zero({"violations"});
+    all.push_back(std::move(p));
+  }
+  {
+    Plan p;
+    p.name = "ablation_lui";
+    p.description =
+        "Section 7 ablation: lazy-update interval 1/2/4/8 s on the paper "
+        "workload, client 2 (a=2, d=140ms, Pc=0.9) measured";
+    p.default_requests = 1000;
+    p.points = {"lui_1s", "lui_2s", "lui_4s", "lui_8s"};
+    p.binomials = timing_failure_binomial();
+    p.run = run_ablation_lui;
+    p.pass = pooled_zero({"staleness_violations"});
+    all.push_back(std::move(p));
+  }
+  {
+    Plan p;
+    p.name = "ablation_request_delay";
+    p.description =
+        "Section 7 ablation: request delay 250/500/1000/2000 ms on the paper "
+        "workload (LUI 4s), client 2 measured";
+    p.default_requests = 1000;
+    p.points = {"delay_250ms", "delay_500ms", "delay_1000ms", "delay_2000ms"};
+    p.binomials = timing_failure_binomial();
+    p.run = run_ablation_request_delay;
+    p.pass = pooled_zero({"staleness_violations"});
+    all.push_back(std::move(p));
+  }
+  {
+    Plan p;
+    p.name = "baselines";
+    p.description =
+        "Section 5 baselines: Algorithm 1 and two ablations of it vs "
+        "select-all / select-one / fixed-k, both clients on the selector";
+    p.default_requests = 1000;
+    for (const BaselineSelector& selector : baseline_selectors()) {
+      p.points.push_back(selector.name);
+    }
+    p.binomials = timing_failure_binomial();
+    p.run = run_baselines;
+    p.pass = pooled_zero({"staleness_violations"});
+    all.push_back(std::move(p));
+  }
+  {
+    Plan p;
+    p.name = "group_sizing";
+    p.description =
+        "Section 3 group sizing: primary/secondary split of a 10-replica "
+        "pool from 10/0 to 2/8 (write-all cost vs lazy-tier staleness)";
+    p.default_requests = 1000;
+    for (const std::size_t primaries : kGroupPrimaries) {
+      p.points.push_back("primaries_" + std::to_string(primaries));
+    }
+    p.binomials = timing_failure_binomial();
+    p.run = run_group_sizing;
+    p.pass = pooled_zero({"staleness_violations"});
+    all.push_back(std::move(p));
+  }
+  {
+    Plan p;
+    p.name = "heterogeneous";
+    p.description =
+        "heterogeneous hosts: per-replica speed skew at equal aggregate "
+        "capacity, and fast vs slow primaries";
+    p.default_requests = 1000;
+    for (const SpeedPool& pool : speed_pools()) p.points.push_back(pool.name);
+    p.binomials = timing_failure_binomial();
+    p.run = run_heterogeneous;
+    p.pass = pooled_zero({"staleness_violations"});
+    all.push_back(std::move(p));
+  }
+  {
+    Plan p;
+    p.name = "open_loop";
+    p.description =
+        "open-loop Poisson arrivals: offered-load sweep (mean interarrival "
+        "2000..125 ms) to saturation";
+    p.default_requests = 600;
+    for (const int gap_ms : kOpenLoopGapsMs) {
+      p.points.push_back("interarrival_" + std::to_string(gap_ms) + "ms");
+    }
+    p.binomials = timing_failure_binomial();
+    p.run = run_open_loop;
+    p.pass = pooled_zero({"staleness_violations"});
+    all.push_back(std::move(p));
+  }
+  {
+    Plan p;
+    p.name = "protocol_overhead";
+    p.description =
+        "protocol overhead: network messages and bytes by type for the "
+        "paper workload";
+    p.default_requests = 1000;
+    p.points = {"paper_workload"};
+    p.run = run_protocol_overhead;
     all.push_back(std::move(p));
   }
   return all;
@@ -973,6 +1400,10 @@ const Plan* find_plan(const std::string& name) {
     if (p.name == name) return &p;
   }
   return nullptr;
+}
+
+bool passes(const Plan& plan, const SweepResult& result) {
+  return result.all_ok() && (!plan.pass || plan.pass(result));
 }
 
 SweepSpec make_spec(const Plan& plan, std::uint64_t seed_begin,

@@ -2,9 +2,10 @@
 //
 // A Plan packages one experiment's per-unit body — build a Scenario from
 // (seed, config point), run it, distill a SeedRecord — together with its
-// config-point labels and pooled-estimate declarations, so sweep_cli, the
-// bench binaries, and the chaos test suites all fan the *same* run bodies
-// across threads through runner::run_sweep.
+// config-point labels, pooled-estimate declarations and pass gate, so
+// sweep_cli (the one driver for scenario experiments) and the chaos test
+// suites fan the *same* run bodies across threads through
+// runner::run_sweep.
 #pragma once
 
 #include <cstddef>
@@ -27,7 +28,14 @@ struct Plan {
   std::vector<BinomialSpec> binomials;
   /// The per-unit body. Must be shared-nothing (see sweep.hpp).
   std::function<SeedRecord(const Unit&, std::size_t requests)> run;
+  /// The experiment's exit condition over a finished sweep (safety
+  /// counters pooled to 0, a fault that must have fired, ...). Empty = no
+  /// condition beyond the one passes() always applies.
+  std::function<bool(const SweepResult&)> pass;
 };
+
+/// True when no unit threw and `plan.pass` (if any) holds for `result`.
+bool passes(const Plan& plan, const SweepResult& result);
 
 /// All registered plans, in a stable order.
 const std::vector<Plan>& plans();

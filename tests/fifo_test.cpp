@@ -260,6 +260,54 @@ TEST(Fifo, SecondariesConvergeViaLazyUpdates) {
   }
 }
 
+TEST(Fifo, SecondaryInstallsOnlyLazyUpdatesCoveringItsHorizons) {
+  // A hand-driven lazy publisher feeds one secondary. An update that is
+  // newer by CSN but behind on one client's horizon would drop that
+  // client's applied update, so the secondary must skip it and install the
+  // next update that covers every horizon it holds.
+  Fixture f(0, 1, 3);
+  f.settle();
+  f.endpoints.push_back(
+      std::make_unique<gcs::Endpoint>(f.sim, *f.network, f.directory));
+  gcs::Member& publisher = f.endpoints.back()->member(f.groups.replication);
+  publisher.join();
+  f.settle(seconds(1));
+  ReplicaServer& secondary = *f.replicas[0];
+  ASSERT_FALSE(secondary.is_primary());
+
+  const net::NodeId alice{9001}, bob{9002};
+  const auto publish = [&](core::Csn csn,
+                           const std::vector<std::string>& lines,
+                           Horizons horizons) {
+    SharedDocument doc;
+    for (const auto& line : lines) doc.apply_update(append(line));
+    auto lazy = std::make_shared<LazyUpdate>();
+    lazy->csn = csn;
+    lazy->snapshot = doc.snapshot();
+    lazy->horizons = std::move(horizons);
+    publisher.multicast(lazy);
+    f.settle(milliseconds(100));
+  };
+
+  publish(2, {"a1", "b1"}, {{alice, 1}, {bob, 1}});
+  ASSERT_EQ(secondary.stats().lazy_updates_installed, 1u);
+  ASSERT_EQ(secondary.horizon_of(bob), 1u);
+
+  // Ahead for alice and by CSN, behind for bob: not installed.
+  publish(3, {"a1", "a2", "b0"}, {{alice, 2}, {bob, 0}});
+  EXPECT_EQ(secondary.stats().lazy_updates_installed, 1u);
+  EXPECT_EQ(secondary.horizons(), (Horizons{{alice, 1}, {bob, 1}}));
+  EXPECT_EQ(lines_of(secondary.object()),
+            (std::vector<std::string>{"a1", "b1"}));
+
+  // Covers both horizons: installed.
+  publish(4, {"a1", "b1", "a2"}, {{alice, 2}, {bob, 1}});
+  EXPECT_EQ(secondary.stats().lazy_updates_installed, 2u);
+  EXPECT_EQ(secondary.horizons(), (Horizons{{alice, 2}, {bob, 1}}));
+  EXPECT_EQ(lines_of(secondary.object()),
+            (std::vector<std::string>{"a1", "b1", "a2"}));
+}
+
 TEST(Fifo, TwoClientsInterleaveButKeepOwnOrder) {
   Fixture f(2, 0, 3);
   f.settle();

@@ -10,6 +10,7 @@
 #include <cmath>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "harness/stats.hpp"
@@ -76,6 +77,22 @@ TEST(SweepDeterminism, ScenarioPlanByteIdenticalAcrossThreadCounts) {
   const auto json1 = runner::sweep_json(spec1, runner::run_sweep(spec1));
   const auto json4 = runner::sweep_json(spec4, runner::run_sweep(spec4));
   EXPECT_EQ(json1, json4);
+}
+
+// The plans folded in from the per-experiment bench binaries run under
+// the same determinism oracle as the chaos plan above.
+TEST(SweepDeterminism, PaperWorkloadPlansByteIdenticalAcrossThreadCounts) {
+  for (const char* name :
+       {"ablation_lui", "ablation_request_delay", "baselines", "group_sizing",
+        "heterogeneous", "open_loop", "protocol_overhead"}) {
+    const runner::Plan* plan = runner::find_plan(name);
+    ASSERT_NE(plan, nullptr) << name;
+    const auto spec1 = runner::make_spec(*plan, 3, 2, 1, /*requests=*/20);
+    const auto spec2 = runner::make_spec(*plan, 3, 2, 2, /*requests=*/20);
+    EXPECT_EQ(runner::sweep_json(spec1, runner::run_sweep(spec1)),
+              runner::sweep_json(spec2, runner::run_sweep(spec2)))
+        << name;
+  }
 }
 
 TEST(SweepDeterminism, MergeOrderFollowsUnitOrderNotCompletionOrder) {
@@ -216,6 +233,75 @@ TEST(SweepPlans, RegistryExposesEveryPlanWithRunBody) {
   EXPECT_EQ(spec.units[0].label, "baseline seed_7");
   EXPECT_EQ(spec.units[1].seed, 8u);
   EXPECT_EQ(spec.units[3].point, 1u);
+}
+
+/// A finished sweep of `rows` clean units with the given pooled counters.
+runner::SweepResult pooled_result(
+    std::size_t rows,
+    std::vector<std::pair<std::string, std::uint64_t>> counters) {
+  runner::SweepResult result;
+  result.rows.resize(rows);
+  for (runner::SeedRecord& row : result.rows) row.ok = true;
+  result.pooled_counters = std::move(counters);
+  return result;
+}
+
+TEST(SweepPlans, PassGateRejectsEachPlansFailureCounter) {
+  using Counters = std::vector<std::pair<std::string, std::uint64_t>>;
+  struct Case {
+    const char* plan;
+    Counters clean;   // passes
+    Counters broken;  // the same sweep with one failure: must not pass
+  };
+  const Counters injected = {{"messages_duplicated", 5}};
+  const auto with = [](Counters base, const Counters& more) {
+    base.insert(base.end(), more.begin(), more.end());
+    return base;
+  };
+  const std::vector<Case> cases = {
+      {"recovery", {{"recovered", 2}, {"gsn_conflicts", 0}},
+       {{"recovered", 2}, {"gsn_conflicts", 1}}},
+      {"recovery", {{"recovered", 2}}, {{"recovered", 1}}},
+      {"failure_injection", {{"gsn_conflicts", 0}}, {{"gsn_conflicts", 1}}},
+      {"failure_injection", {}, {{"staleness_violations", 1}}},
+      {"fig4_adaptivity", {{"staleness_violations", 0}},
+       {{"staleness_violations", 1}}},
+      {"chaos", {{"violations", 0}}, {{"violations", 1}}},
+      {"chaos_recovery", {{"violations", 0}}, {{"violations", 1}}},
+      {"gray_chaos", {{"violations", 0}}, {{"violations", 1}}},
+      {"gray_failure", with({{"violations", 0}}, injected),
+       with({{"violations", 1}}, injected)},
+      {"gray_failure", with({}, injected), {{"messages_reordered", 0}}},
+      {"shard_scaling", {{"violations", 0}}, {{"violations", 1}}},
+      {"hot_shard", {{"violations", 0}, {"reborn", 16}},
+       {{"violations", 1}, {"reborn", 16}}},
+      {"hot_shard", {{"reborn", 16}}, {{"reborn", 0}}},
+      {"ablation_lui", {}, {{"staleness_violations", 1}}},
+      {"ablation_request_delay", {}, {{"staleness_violations", 1}}},
+      {"baselines", {}, {{"staleness_violations", 1}}},
+      {"group_sizing", {}, {{"staleness_violations", 1}}},
+      {"heterogeneous", {}, {{"staleness_violations", 1}}},
+      {"open_loop", {}, {{"staleness_violations", 1}}},
+  };
+  for (const Case& c : cases) {
+    const runner::Plan* plan = runner::find_plan(c.plan);
+    ASSERT_NE(plan, nullptr) << c.plan;
+    EXPECT_TRUE(runner::passes(*plan, pooled_result(2, c.clean))) << c.plan;
+    EXPECT_FALSE(runner::passes(*plan, pooled_result(2, c.broken)))
+        << c.plan;
+  }
+}
+
+TEST(SweepPlans, PassGateRejectsAThrownUnitForEveryPlan) {
+  for (const runner::Plan& plan : runner::plans()) {
+    runner::SweepResult result = pooled_result(2, {{"recovered", 2},
+                                                   {"reborn", 16},
+                                                   {"messages_delayed", 1}});
+    EXPECT_TRUE(runner::passes(plan, result)) << plan.name;
+    result.rows[1].ok = false;
+    result.failed = 1;
+    EXPECT_FALSE(runner::passes(plan, result)) << plan.name;
+  }
 }
 
 }  // namespace

@@ -28,6 +28,14 @@ Gated metrics:
                     safety-invariant violations (absolute), and a nonzero
                     injected-fault total (the chaos layer must actually
                     have fired);
+  shard_scaling   — per-width (1/4/16 replica groups) Pc(d) lower bound
+                    and simulated-time throughput, plus zero agreement /
+                    key-placement violations (absolute);
+  hot_shard       — timing-failure rate inside the hot shard's degraded
+                    window, the steady-state Pc(d) lower bound, zero
+                    agreement / key-placement violations (absolute), and
+                    16 rack restarts per seed (the correlated rack failure
+                    must actually have fired);
   obs_overhead    — telemetry cost: overhead_percent against the absolute
                     <2% budget (the one wall-clock-derived exception — it
                     is a ratio of two runs on the same machine, so the
@@ -216,44 +224,28 @@ def gray_failure_gates(baseline: dict) -> list[Gate]:
     return gates
 
 
-def shards_gates(baseline: dict) -> list[Gate]:
-    # BENCH_shards.json embeds two sweeps: "scaling" (shard_scaling plan,
-    # 1/4/16 replica groups) and "faults" (hot_shard plan, 16-shard
-    # hot-shard / correlated-rack matrix).
-    def point_sum(doc: dict, section: str, point: int, keys) -> float:
-        return float(sum(r[k] for r in doc[section]["runs"]
-                         if r["point"] == point for k in keys))
+def point_sum(doc: dict, point: int, keys) -> float:
+    return float(sum(r[k] for r in doc["runs"]
+                     if r["point"] == point for k in keys))
 
+
+def shard_scaling_gates(baseline: dict) -> list[Gate]:
+    # shard_scaling plan: the same workload at 1/4/16 replica groups.
     def pc_lower(doc: dict, point: int) -> float:
-        failures = point_sum(doc, "scaling", point, ("timing_failures",))
-        trials = point_sum(doc, "scaling", point, ("reads_completed",))
+        failures = point_sum(doc, point, ("timing_failures",))
+        trials = point_sum(doc, point, ("reads_completed",))
         if trials == 0:
             raise KeyError(f"no completed reads at scaling point {point}")
         return 1.0 - failures / trials
 
     def throughput(doc: dict, point: int) -> float:
-        ops = point_sum(doc, "scaling", point,
-                        ("reads_completed", "updates_completed"))
-        sim_s = point_sum(doc, "scaling", point, ("sim_end_s",))
+        ops = point_sum(doc, point, ("reads_completed", "updates_completed"))
+        sim_s = point_sum(doc, point, ("sim_end_s",))
         if sim_s == 0:
             raise KeyError(f"no simulated time at scaling point {point}")
         return ops / sim_s
 
-    def hot_rate(doc: dict) -> float:
-        failures = point_sum(doc, "faults", 1, ("degraded_failures",))
-        trials = point_sum(doc, "faults", 1, ("degraded_reads",))
-        if trials == 0:
-            raise KeyError("no degraded reads at the hot-shard point")
-        return failures / trials
-
-    def rack_restarts_per_seed(doc: dict) -> float:
-        runs = [r for r in doc["faults"]["runs"] if r["point"] == 2]
-        if not runs:
-            raise KeyError("no runs at the correlated-rack point")
-        return sum(r["reborn"] for r in runs) / len(runs)
-
-    points = sorted({(r["point"], r["shards"])
-                     for r in baseline["scaling"]["runs"]})
+    points = sorted({(r["point"], r["shards"]) for r in baseline["runs"]})
     gates = []
     for point, shards in points:
         # 2% absolute slack, same reasoning as the gray-failure gates: the
@@ -267,23 +259,44 @@ def shards_gates(baseline: dict) -> list[Gate]:
         gates.append(Gate(f"throughput ops/sim-s @{int(shards)} shards",
                           lambda d, p=point: throughput(d, p),
                           "min", slack=0.5))
-    gates += [
+    # The acceptance floor: agreement and key-placement counters, pooled.
+    # Any cross-shard leak fails the gate outright.
+    gates.append(Gate("safety-invariant violations",
+                      lambda d: float(d["pooled"]["violations"]),
+                      "max", absolute_limit=0.0))
+    return gates
+
+
+def hot_shard_gates(_baseline: dict) -> list[Gate]:
+    # hot_shard plan: a 16-shard pool under a uniform baseline (point 0),
+    # one hot replica group (point 1) and a correlated rack failure
+    # (point 2).
+    def hot_rate(doc: dict) -> float:
+        failures = point_sum(doc, 1, ("degraded_failures",))
+        trials = point_sum(doc, 1, ("degraded_reads",))
+        if trials == 0:
+            raise KeyError("no degraded reads at the hot-shard point")
+        return failures / trials
+
+    def rack_restarts_per_seed(doc: dict) -> float:
+        runs = [r for r in doc["runs"] if r["point"] == 2]
+        if not runs:
+            raise KeyError("no runs at the correlated-rack point")
+        return sum(r["reborn"] for r in runs) / len(runs)
+
+    return [
         Gate("degraded tf rate @hot shard", hot_rate, "max", slack=0.02),
-        Gate("Pc(d) lower bound (steady, faults)",
-             lambda d: 1.0 - float(d["faults"]["pooled"]
-                                   ["steady_timing_failure"]["ci_upper"]),
+        Gate("Pc(d) lower bound (steady)",
+             lambda d: 1.0 - float(d["pooled"]["steady_timing_failure"]
+                                   ["ci_upper"]),
              "min", slack=0.02),
-        # The acceptance floor: agreement and key-placement counters from
-        # both sweeps, pooled. Any cross-shard leak fails the gate outright.
-        Gate("safety-invariant violations (scaling + faults)",
-             lambda d: float(d["scaling"]["pooled"]["violations"]) +
-             float(d["faults"]["pooled"]["violations"]),
+        Gate("safety-invariant violations",
+             lambda d: float(d["pooled"]["violations"]),
              "max", absolute_limit=0.0),
         # Every shard must lose and restart its rack slot: 16 per seed.
         Gate("rack restarts per seed", rack_restarts_per_seed,
              "min", absolute_limit=16.0),
     ]
-    return gates
 
 
 def obs_overhead_gates(baseline: dict) -> list[Gate]:
@@ -310,7 +323,8 @@ GATE_BUILDERS = {
     "recovery": recovery_gates,
     "gray_failure": gray_failure_gates,
     "obs_overhead": obs_overhead_gates,
-    "shards": shards_gates,
+    "shard_scaling": shard_scaling_gates,
+    "hot_shard": hot_shard_gates,
 }
 
 
