@@ -1,7 +1,9 @@
 // Wire encode/decode of the gcs messages (see messages.hpp for the id
 // block). Each encode() writes fields in declaration order; the decoders
 // read them back symmetrically, so encode(decode(bytes)) == bytes.
+#include <algorithm>
 #include <memory>
+#include <vector>
 
 #include "gcs/messages.hpp"
 
@@ -49,6 +51,19 @@ std::vector<DataMsgPtr> decode_data_vector(Reader& r) {
   return msgs;
 }
 
+// Same layout as a std::map (net::decode_node_u64_map), same semantics:
+// entries sorted, the last of duplicate keys wins.
+SeqTable decode_seq_table(Reader& r) {
+  const std::uint32_t n = r.u32();
+  std::vector<SeqTable::value_type> entries;
+  entries.reserve(std::min<std::size_t>(n, r.remaining() / 12));
+  for (std::uint32_t i = 0; i < n; ++i) {
+    const net::NodeId node = r.node();
+    entries.emplace_back(node, r.u64());
+  }
+  return SeqTable::from_entries(std::move(entries));
+}
+
 net::MessagePtr decode_data(Reader& r) {
   auto m = std::make_shared<DataMsg>();
   m->group = decode_group(r);
@@ -66,9 +81,9 @@ net::MessagePtr decode_heartbeat(Reader& r) {
   m->group = decode_group(r);
   m->view = r.u64();
   m->my_mcast_seq = r.u64();
-  m->my_p2p_seq = net::decode_node_u64_map(r);
-  m->mcast_acks = net::decode_node_u64_map(r);
-  m->p2p_acks = net::decode_node_u64_map(r);
+  m->my_p2p_seq = decode_seq_table(r);
+  m->mcast_acks = decode_seq_table(r);
+  m->p2p_acks = decode_seq_table(r);
   return m;
 }
 

@@ -348,11 +348,16 @@ void Member::send_heartbeat() {
   hb->group = group_;
   hb->view = view_.id;
   hb->my_mcast_seq = mcast_send_seq_;
-  for (const auto& [dest, seq] : p2p_send_seq_) hb->my_p2p_seq[dest] = seq;
-  for (const auto& [sender, chan] : mcast_in_) hb->mcast_acks[sender] = chan.delivered;
-  hb->mcast_acks[self_] =
-      mcast_in_.contains(self_) ? mcast_in_[self_].delivered : 0;
-  for (const auto& [sender, chan] : p2p_in_) hb->p2p_acks[sender] = chan.delivered;
+  // The source maps iterate in key order, so every table is appended to.
+  hb->my_p2p_seq.reserve(p2p_send_seq_.size());
+  for (const auto& [dest, seq] : p2p_send_seq_) hb->my_p2p_seq.append(dest, seq);
+  hb->mcast_acks.reserve(mcast_in_.size() + 1);
+  for (const auto& [sender, chan] : mcast_in_) {
+    hb->mcast_acks.append(sender, chan.delivered);
+  }
+  if (!mcast_in_.contains(self_)) hb->mcast_acks[self_] = 0;
+  hb->p2p_acks.reserve(p2p_in_.size());
+  for (const auto& [sender, chan] : p2p_in_) hb->p2p_acks.append(sender, chan.delivered);
   for (const net::NodeId dest : view_.members) {
     if (dest != self_) send_(dest, hb);
   }

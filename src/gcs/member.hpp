@@ -213,7 +213,7 @@ class Member {
   std::map<net::NodeId, InChannel> p2p_in_;
 
   // stability: member -> (sender -> cumulative mcast ack)
-  std::map<net::NodeId, std::map<net::NodeId, std::uint64_t>> ack_matrix_;
+  std::map<net::NodeId, SeqTable> ack_matrix_;
 
   // failure detection
   std::map<net::NodeId, sim::TimePoint> last_heard_;

@@ -13,6 +13,7 @@
 #include <memory>
 #include <vector>
 
+#include "gcs/seq_table.hpp"
 #include "gcs/types.hpp"
 #include "net/codec.hpp"
 #include "net/message.hpp"
@@ -66,13 +67,13 @@ struct HeartbeatMsg final : net::Message {
   /// detection at receivers).
   std::uint64_t my_mcast_seq = 0;
   /// Sender's p2p stream high-water mark per destination.
-  std::map<net::NodeId, std::uint64_t> my_p2p_seq;
+  SeqTable my_p2p_seq;
   /// Cumulative contiguous-delivery acknowledgements: for each sender in
   /// the group, the highest mcast seq this member has delivered.
-  std::map<net::NodeId, std::uint64_t> mcast_acks;
+  SeqTable mcast_acks;
   /// For each sender, the highest p2p seq (on the sender->me channel) this
   /// member has delivered.
-  std::map<net::NodeId, std::uint64_t> p2p_acks;
+  SeqTable p2p_acks;
 
   std::string type_name() const override { return "gcs.heartbeat"; }
   net::WireTypeId wire_type() const override { return kWireHeartbeat; }

@@ -11,17 +11,21 @@ void Message::encode(Writer&) const {
 }
 
 std::size_t Message::wire_size() const {
+  std::size_t size = wire_size_memo_.load(std::memory_order_relaxed);
+  if (size != 0) return size;
   if (wire_type() == 0) return 64;  // nominal size for non-wire types
   try {
-    Writer w;
+    Writer w = Writer::size_only();
     encode_frame(*this, w);
-    return w.size();
+    size = w.size();
   } catch (const CodecError&) {
     // A codec-enabled envelope carrying a non-encodable payload (tests
     // wrap ad-hoc local messages in gcs frames): fall back to the nominal
     // estimate rather than poison bandwidth accounting.
-    return 64;
+    size = 64;
   }
+  wire_size_memo_.store(size, std::memory_order_relaxed);
+  return size;
 }
 
 CodecRegistry& CodecRegistry::global() {

@@ -47,9 +47,26 @@ class CodecError : public std::runtime_error {
 };
 
 /// Append-only little-endian byte sink.
+///
+/// A size-only writer (Writer::size_only()) runs the same encoders but
+/// stores nothing: it only counts the bytes they would append, so size()
+/// is the exact encoded length and bytes() stays empty. Bandwidth
+/// accounting sizes every simulated send this way (Message::wire_size).
 class Writer {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(v); }
+  static Writer size_only() {
+    Writer w;
+    w.size_only_ = true;
+    return w;
+  }
+
+  void u8(std::uint8_t v) {
+    if (size_only_) {
+      ++counted_;
+    } else {
+      buf_.push_back(v);
+    }
+  }
   void u16(std::uint16_t v) { le(v); }
   void u32(std::uint32_t v) { le(v); }
   void u64(std::uint64_t v) { le(v); }
@@ -63,18 +80,25 @@ class Writer {
   void boolean(bool v) { u8(v ? 1 : 0); }
   void str(const std::string& s) {
     u32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
+    raw(reinterpret_cast<const std::uint8_t*>(s.data()), s.size());
   }
   void node(NodeId id) { u32(id.value()); }
   void duration(sim::Duration d) { i64(d.count()); }
   void raw(const std::uint8_t* data, std::size_t n) {
-    buf_.insert(buf_.end(), data, data + n);
+    if (size_only_) {
+      counted_ += n;
+    } else {
+      buf_.insert(buf_.end(), data, data + n);
+    }
   }
 
+  /// The encoded bytes; empty for a size-only writer.
   const std::vector<std::uint8_t>& bytes() const { return buf_; }
-  std::size_t size() const { return buf_.size(); }
+  std::size_t size() const { return size_only_ ? counted_ : buf_.size(); }
   /// Patches a previously written u32 at `offset` (for length back-fill).
+  /// A no-op for a size-only writer: the length does not change the size.
   void patch_u32(std::size_t offset, std::uint32_t v) {
+    if (size_only_) return;
     for (int i = 0; i < 4; ++i) {
       buf_.at(offset + i) = static_cast<std::uint8_t>(v >> (8 * i));
     }
@@ -83,12 +107,18 @@ class Writer {
  private:
   template <typename T>
   void le(T v) {
+    if (size_only_) {
+      counted_ += sizeof(T);
+      return;
+    }
     for (std::size_t i = 0; i < sizeof(T); ++i) {
       buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
   }
 
   std::vector<std::uint8_t> buf_;
+  bool size_only_ = false;
+  std::size_t counted_ = 0;  // bytes "written" in size-only mode
 };
 
 /// Bounds-checked little-endian byte source over a borrowed buffer.
@@ -234,8 +264,10 @@ inline std::vector<NodeId> decode_node_vector(Reader& r) {
   return v;
 }
 
-inline void encode_node_u64_map(Writer& w,
-                                const std::map<NodeId, std::uint64_t>& m) {
+/// `m` is any key-ascending range of (NodeId, u64) pairs: a std::map, or
+/// a flat sorted table such as gcs::SeqTable (same bytes either way).
+template <typename NodeU64Table>
+void encode_node_u64_map(Writer& w, const NodeU64Table& m) {
   w.u32(static_cast<std::uint32_t>(m.size()));
   for (const auto& [node, seq] : m) {
     w.node(node);

@@ -144,14 +144,14 @@ sim::Duration LoopbackTransport::sample_latency(NodeId from, NodeId to) {
 }
 
 void LoopbackTransport::tap(NodeId from, NodeId to, const MessagePtr& msg,
-                  const char* dropped) {
+                            std::size_t wire_size, const char* dropped) {
   if (!obs_.trace.active()) return;
   obs::MessageEvent event;
   event.at = exec_.now();
   event.from = from;
   event.to = to;
   event.type_name = msg->type_name();
-  event.wire_size = msg->wire_size();
+  event.wire_size = wire_size;
   event.dropped = dropped;
   obs_.trace.message(event);
 }
@@ -160,25 +160,28 @@ void LoopbackTransport::send(NodeId from, NodeId to, MessagePtr msg) {
   AQUEDUCT_CHECK(msg != nullptr);
   AQUEDUCT_CHECK_MSG(from.valid() && to.valid(), "send with invalid node id");
   c_sent_.inc();
-  c_bytes_sent_.inc(msg->wire_size());
+  // Memoized on the message: a heartbeat shared by every peer is sized
+  // once, by a size-only codec pass, never encoded.
+  const std::size_t wire_size = msg->wire_size();
+  c_bytes_sent_.inc(wire_size);
   if (!endpoints_.contains(from)) {
     // A detached (crashed) node cannot send.
     c_dropped_detached_.inc();
-    tap(from, to, msg, "detached");
+    tap(from, to, msg, wire_size, "detached");
     return;
   }
   if (partitioned(from, to)) {
     c_dropped_partition_.inc();
-    tap(from, to, msg, "partition");
+    tap(from, to, msg, wire_size, "partition");
     return;
   }
   const double loss = loss_probability(from, to);
   if (loss > 0.0 && rng_.bernoulli(loss)) {
     c_dropped_loss_.inc();
-    tap(from, to, msg, "loss");
+    tap(from, to, msg, wire_size, "loss");
     return;
   }
-  tap(from, to, msg, "");
+  tap(from, to, msg, wire_size, "");
   const sim::Duration latency = sample_latency(from, to);
   h_delivery_latency_ms_.observe(sim::to_ms(latency));
   exec_.after(latency, [this, from, to, msg = std::move(msg)] {

@@ -63,7 +63,8 @@ class LoopbackTransport final : public Transport, public FaultInjection {
  private:
   sim::Duration sample_latency(NodeId from, NodeId to);
   bool partitioned(NodeId a, NodeId b) const;
-  void tap(NodeId from, NodeId to, const MessagePtr& msg, const char* dropped);
+  void tap(NodeId from, NodeId to, const MessagePtr& msg, std::size_t wire_size,
+           const char* dropped);
 
   struct PairHash {
     std::size_t operator()(const std::pair<NodeId, NodeId>& p) const noexcept {

@@ -12,6 +12,7 @@
 // codec is exercised only by socket transports and the round-trip tests.
 #pragma once
 
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -28,6 +29,14 @@ using WireTypeId = std::uint32_t;
 
 class Message {
  public:
+  Message() = default;
+  /// A copy starts without the wire-size memo: it may be mutated before it
+  /// is sent, and the memo describes the original's bytes.
+  Message(const Message&) noexcept {}
+  Message& operator=(const Message&) noexcept {
+    wire_size_memo_.store(0, std::memory_order_relaxed);
+    return *this;
+  }
   virtual ~Message() = default;
 
   /// Human-readable type tag used in logs and traces.
@@ -45,10 +54,18 @@ class Message {
 
   /// Wire size in bytes, used for bandwidth accounting in traces and the
   /// protocol-overhead benches; delivery latency is governed by the
-  /// link's latency model. For codec-enabled messages the default derives
-  /// it from the real encoded frame length; types outside the codec fall
-  /// back to a nominal 64 bytes.
+  /// link's latency model. For codec-enabled messages the default is the
+  /// exact encoded frame length, counted once by a size-only encoding
+  /// pass and memoized (a message is immutable once sent, and a shared
+  /// heartbeat is sized once for all its destinations). Types outside the
+  /// codec, and envelopes around a payload that is, fall back to a
+  /// nominal 64 bytes.
   virtual std::size_t wire_size() const;
+
+ private:
+  /// 0 = not computed yet (no frame is empty). Relaxed: every thread that
+  /// computes it stores the same value.
+  mutable std::atomic<std::size_t> wire_size_memo_{0};
 };
 
 using MessagePtr = std::shared_ptr<const Message>;

@@ -109,14 +109,14 @@ void UdpTransport::detach(NodeId id) {
 }
 
 void UdpTransport::tap(NodeId from, NodeId to, const MessagePtr& msg,
-                       const char* dropped) {
+                       std::size_t wire_size, const char* dropped) {
   if (!obs_.trace.active()) return;
   obs::MessageEvent event;
   event.at = exec_.now();
   event.from = from;
   event.to = to;
   event.type_name = msg->type_name();
-  event.wire_size = msg->wire_size();
+  event.wire_size = wire_size;
   event.dropped = dropped;
   obs_.trace.message(event);
 }
@@ -129,18 +129,19 @@ void UdpTransport::send(NodeId from, NodeId to, MessagePtr msg) {
     // A detached (crashed) local endpoint cannot send; a foreign `from`
     // would forge another node's identity.
     c_dropped_detached_.inc();
-    tap(from, to, msg, "detached");
+    tap(from, to, msg, msg->wire_size(), "detached");
     return;
   }
   auto it = peer_addrs_.find(to);
   if (it == peer_addrs_.end()) {
     c_dropped_unroutable_.inc();
-    tap(from, to, msg, "unroutable");
+    tap(from, to, msg, msg->wire_size(), "unroutable");
     return;
   }
   Writer w;
   w.node(from);
   w.node(to);
+  const std::size_t prefix = w.size();
   try {
     encode_frame(*msg, w);
   } catch (const CodecError&) {
@@ -148,11 +149,11 @@ void UdpTransport::send(NodeId from, NodeId to, MessagePtr msg) {
     // boundary. Surface it like a decode error — dropped, counted, never
     // silently corrupted.
     c_decode_errors_.inc();
-    tap(from, to, msg, "encode_error");
+    tap(from, to, msg, msg->wire_size(), "encode_error");
     return;
   }
   c_bytes_sent_.inc(w.size());
-  tap(from, to, msg, "");
+  tap(from, to, msg, w.size() - prefix, "");
   const sockaddr_in addr = unpack_addr(it->second);
   // Best effort, exactly like the wire: a full socket buffer or an
   // oversized frame is message loss, and the gcs layer's NACK/heartbeat

@@ -81,7 +81,10 @@ class UdpTransport final : public Transport {
  private:
   void schedule_poll();
   void drain_socket();
-  void tap(NodeId from, NodeId to, const MessagePtr& msg, const char* dropped);
+  /// `wire_size` is the message's frame length (without the node-id
+  /// prefix), which send() already knows once it has encoded the frame.
+  void tap(NodeId from, NodeId to, const MessagePtr& msg, std::size_t wire_size,
+           const char* dropped);
 
   runtime::Executor& exec_;
   UdpConfig config_;

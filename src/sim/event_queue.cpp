@@ -1,5 +1,7 @@
 #include "sim/event_queue.hpp"
 
+#include <algorithm>
+#include <cstdint>
 #include <utility>
 
 #include "sim/check.hpp"
@@ -8,26 +10,51 @@ namespace aqueduct::sim {
 
 EventHandle EventQueue::schedule(TimePoint at, Callback cb) {
   AQUEDUCT_CHECK(cb != nullptr);
-  auto cancelled = std::make_shared<bool>(false);
+  std::uint32_t slot = static_cast<std::uint32_t>(slots_.size());
+  if (free_slots_.empty()) {
+    AQUEDUCT_CHECK_MSG(slots_.size() < UINT32_MAX, "event slot table full");
+    slots_.emplace_back();
+  } else {
+    slot = free_slots_.back();
+    free_slots_.pop_back();
+  }
   const std::uint64_t seq = next_seq_++;
-  heap_.push(Entry{at, seq, std::move(cb), cancelled});
+  slots_[slot].stamp = seq;
+  slots_[slot].cb = std::move(cb);
+  heap_.push_back(Entry{at, seq, slot});
+  std::push_heap(heap_.begin(), heap_.end(), Later{});
   ++live_;
-  return EventHandle(seq, cancelled);
+  return EventHandle(slot, seq);
 }
 
 bool EventQueue::cancel(const EventHandle& handle) {
-  auto flag = handle.cancelled_.lock();
-  if (!flag || *flag) return false;
-  *flag = true;
+  if (!handle.valid() || handle.slot_ >= slots_.size()) return false;
+  Slot& slot = slots_[handle.slot_];
+  if (slot.stamp != handle.seq_) return false;  // fired, cancelled, or reused
+  // The callback stays in its slot until the entry reaches the heap head,
+  // exactly as long as a lazily removed entry always kept it.
+  slot.stamp = 0;
   AQUEDUCT_CHECK(live_ > 0);
   --live_;
   return true;
 }
 
+std::pair<EventQueue::Entry, EventQueue::Callback> EventQueue::take_top() const {
+  std::pop_heap(heap_.begin(), heap_.end(), Later{});
+  const Entry top = heap_.back();
+  heap_.pop_back();
+  Slot& slot = slots_[top.slot];
+  Callback cb = std::move(slot.cb);
+  slot.cb = nullptr;
+  slot.stamp = 0;
+  free_slots_.push_back(top.slot);
+  return {top, std::move(cb)};
+}
+
 void EventQueue::skip_cancelled() const {
-  // heap_ is mutable: discarding cancelled entries does not change the
-  // observable live set.
-  while (!heap_.empty() && *heap_.top().cancelled) heap_.pop();
+  while (!heap_.empty() && slots_[heap_.front().slot].stamp != heap_.front().seq) {
+    take_top();
+  }
 }
 
 bool EventQueue::empty() const {
@@ -38,22 +65,18 @@ bool EventQueue::empty() const {
 TimePoint EventQueue::next_time() const {
   skip_cancelled();
   AQUEDUCT_CHECK(!heap_.empty());
-  return heap_.top().at;
+  return heap_.front().at;
 }
 
 std::pair<TimePoint, EventQueue::Callback> EventQueue::pop() {
   skip_cancelled();
   AQUEDUCT_CHECK(!heap_.empty());
-  // priority_queue::top() returns const&; move out via const_cast is the
-  // standard idiom but we copy the small parts and move the callback by
-  // re-wrapping: take a copy of the entry, then pop.
-  Entry top = heap_.top();
-  heap_.pop();
+  // The callback is moved out of its slot, never copied. Recycling the
+  // slot makes a handle held by the scheduler report cancel() == false.
+  auto [top, cb] = take_top();
   AQUEDUCT_CHECK(live_ > 0);
   --live_;
-  // Mark fired so a handle held by the scheduler reports cancel() == false.
-  *top.cancelled = true;
-  return {top.at, std::move(top.cb)};
+  return {top.at, std::move(cb)};
 }
 
 }  // namespace aqueduct::sim

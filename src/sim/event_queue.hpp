@@ -7,8 +7,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
-#include <queue>
+#include <utility>
 #include <vector>
 
 #include "sim/time.hpp"
@@ -20,17 +19,23 @@ class EventHandle {
  public:
   EventHandle() = default;
   /// True if this handle ever referred to an event (cancelled or not).
-  bool valid() const { return id_ != 0; }
+  bool valid() const { return seq_ != 0; }
 
  private:
   friend class EventQueue;
-  explicit EventHandle(std::uint64_t id, std::weak_ptr<bool> cancelled)
-      : id_(id), cancelled_(std::move(cancelled)) {}
-  std::uint64_t id_ = 0;
-  std::weak_ptr<bool> cancelled_;
+  EventHandle(std::uint32_t slot, std::uint64_t seq) : slot_(slot), seq_(seq) {}
+  std::uint32_t slot_ = 0;
+  std::uint64_t seq_ = 0;
 };
 
 /// Min-heap of timed callbacks with O(1) cancellation (lazy removal).
+///
+/// Each scheduled event owns a slot in a table that holds its callback and
+/// a stamp: the event's sequence number while it is live, 0 once it is
+/// cancelled. A handle names (slot, seq), so it can only ever cancel the
+/// event it was issued for — a slot is recycled through a free list once
+/// its heap entry is gone, and the next event there has a new seq. The
+/// heap itself orders small (time, seq, slot) entries.
 class EventQueue {
  public:
   using Callback = std::function<void()>;
@@ -59,8 +64,7 @@ class EventQueue {
   struct Entry {
     TimePoint at;
     std::uint64_t seq;
-    Callback cb;
-    std::shared_ptr<bool> cancelled;
+    std::uint32_t slot;
   };
   struct Later {
     bool operator()(const Entry& a, const Entry& b) const {
@@ -68,11 +72,22 @@ class EventQueue {
       return a.seq > b.seq;
     }
   };
+  struct Slot {
+    std::uint64_t stamp = 0;  // seq of the live event; 0 once cancelled
+    Callback cb;
+  };
 
+  /// Removes the heap's head entry and recycles its slot, returning the
+  /// entry and its callback.
+  std::pair<Entry, Callback> take_top() const;
   /// Discards cancelled entries at the head of the heap.
   void skip_cancelled() const;
 
-  mutable std::priority_queue<Entry, std::vector<Entry>, Later> heap_;
+  // Mutable: discarding cancelled entries in the const accessors does not
+  // change the observable live set.
+  mutable std::vector<Entry> heap_;
+  mutable std::vector<Slot> slots_;
+  mutable std::vector<std::uint32_t> free_slots_;
   std::uint64_t next_seq_ = 1;
   std::size_t live_ = 0;
 };

@@ -4,13 +4,16 @@
 // CodecError instead of crashing or silently misparsing.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "gcs/messages.hpp"
+#include "gcs/seq_table.hpp"
 #include "net/codec.hpp"
 #include "net/message.hpp"
 #include "replication/messages.hpp"
@@ -591,6 +594,161 @@ TEST_F(CodecTest, SingleByteCorruptionNeverCrashesTheDecoder) {
       }
     }
   }
+}
+
+// ---- size-only pass, the wire-size memo, and the flat heartbeat tables ----
+
+TEST_F(CodecTest, SizeOnlyWriterCountsExactlyTheEncodedBytes) {
+  std::vector<net::MessagePtr> all = exemplars();
+  for (const auto& m : fifo_exemplars()) all.push_back(m);
+  for (const auto& m : all) {
+    SCOPED_TRACE(m->type_name());
+    const std::vector<std::uint8_t> bytes = net::encode_frame(*m);
+    net::Writer counter = net::Writer::size_only();
+    net::encode_frame(*m, counter);
+    EXPECT_EQ(counter.size(), bytes.size());
+    EXPECT_TRUE(counter.bytes().empty());
+    // A freshly decoded message has no memo: its size is counted anew.
+    net::Reader r(bytes);
+    EXPECT_EQ(net::decode_frame(r)->wire_size(), bytes.size());
+  }
+}
+
+TEST_F(CodecTest, WireSizeMemoIsNotInheritedByACopy) {
+  replication::ReadRequest read;
+  read.id = {net::NodeId{7}, 9};
+  read.op = make_kv_put();
+  read.staleness_threshold = 3;
+  const std::size_t size = read.wire_size();  // memoized from here on
+  EXPECT_EQ(size, net::encode_frame(read).size());
+
+  replication::ReadRequest copy = read;
+  copy.after = 5;  // the FIFO extension: 8 more bytes
+  EXPECT_EQ(copy.wire_size(), size + 8);
+  EXPECT_EQ(copy.wire_size(), net::encode_frame(copy).size());
+  EXPECT_EQ(read.wire_size(), size);
+
+  // Assignment replaces the target's contents, so it drops its memo too.
+  replication::ReadRequest target;
+  const std::size_t empty_size = target.wire_size();
+  target = copy;
+  EXPECT_EQ(target.wire_size(), size + 8);
+  EXPECT_NE(empty_size, target.wire_size());
+
+  gcs::HeartbeatMsg hb;
+  hb.group = gcs::GroupId{3};
+  hb.mcast_acks = {{net::NodeId{1}, 4}};
+  const std::size_t hb_size = hb.wire_size();
+  gcs::HeartbeatMsg bigger = hb;
+  bigger.mcast_acks[net::NodeId{2}] = 5;  // one more (u32, u64) entry
+  EXPECT_EQ(bigger.wire_size(), hb_size + 12);
+}
+
+TEST_F(CodecTest, EnvelopeAroundPlainPayloadKeepsNominalSize) {
+  struct PlainMsg final : net::Message {
+    std::string type_name() const override { return "test.plain"; }
+  };
+  auto data = std::make_shared<gcs::DataMsg>();
+  data->group = gcs::GroupId{1};
+  data->payload = std::make_shared<PlainMsg>();
+  EXPECT_EQ(data->wire_size(), 64u);
+  EXPECT_EQ(data->wire_size(), 64u);  // memoized fallback, same answer
+}
+
+/// A heartbeat frame whose three tables carry `entries` in the given order
+/// (duplicates included) — what a peer could put on the wire.
+std::vector<std::uint8_t> heartbeat_frame(
+    const std::vector<std::pair<std::uint32_t, std::uint64_t>>& entries) {
+  net::Writer body;
+  body.u32(18);  // group
+  body.u64(4);   // view
+  body.u64(100);  // my_mcast_seq
+  for (int table = 0; table < 3; ++table) {
+    body.u32(static_cast<std::uint32_t>(entries.size()));
+    for (const auto& [node, seq] : entries) {
+      body.u32(node);
+      body.u64(seq + static_cast<std::uint64_t>(table));
+    }
+  }
+  net::Writer frame;
+  frame.u32(net::kWireMagic);
+  frame.u8(net::kWireVersion);
+  frame.u32(gcs::kWireHeartbeat);
+  frame.u32(static_cast<std::uint32_t>(body.size()));
+  frame.raw(body.bytes().data(), body.size());
+  return frame.bytes();
+}
+
+void expect_decodes_like_std_map(
+    const std::vector<std::pair<std::uint32_t, std::uint64_t>>& entries) {
+  const std::vector<std::uint8_t> bytes = heartbeat_frame(entries);
+  net::Reader r(bytes);
+  const auto hb = net::message_cast<gcs::HeartbeatMsg>(net::decode_frame(r));
+  ASSERT_TRUE(hb);
+  const gcs::SeqTable* tables[] = {&hb->my_p2p_seq, &hb->mcast_acks,
+                                   &hb->p2p_acks};
+  for (int table = 0; table < 3; ++table) {
+    // The decoder this table replaced: m[node] = seq, in wire order.
+    std::map<net::NodeId, std::uint64_t> expected;
+    for (const auto& [node, seq] : entries) {
+      expected[net::NodeId{node}] = seq + static_cast<std::uint64_t>(table);
+    }
+    const gcs::SeqTable& got = *tables[table];
+    ASSERT_EQ(got.size(), expected.size());
+    auto it = got.begin();
+    for (const auto& [node, seq] : expected) {
+      EXPECT_EQ(it->first, node);
+      EXPECT_EQ(it->second, seq);
+      ++it;
+    }
+    // Re-encoding writes the canonical (sorted, deduplicated) map bytes.
+    net::Writer from_table;
+    net::encode_node_u64_map(from_table, got);
+    net::Writer from_map;
+    net::encode_node_u64_map(from_map, expected);
+    EXPECT_EQ(from_table.bytes(), from_map.bytes());
+  }
+}
+
+TEST_F(CodecTest, FlatAckTableDecodesUnsortedAndDuplicateEntriesLikeStdMap) {
+  expect_decodes_like_std_map({});
+  expect_decodes_like_std_map({{1, 5}, {2, 6}, {9, 7}});
+  expect_decodes_like_std_map({{9, 1}, {2, 2}, {5, 3}});
+  expect_decodes_like_std_map({{4, 1}, {4, 2}, {4, 3}});
+  expect_decodes_like_std_map({{7, 1}, {3, 2}, {7, 3}, {3, 4}, {1, 5}, {7, 6}});
+  sim::Rng rng(23);
+  for (int round = 0; round < 200; ++round) {
+    std::vector<std::pair<std::uint32_t, std::uint64_t>> entries;
+    const std::uint64_t n = rng.uniform_int(12);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      entries.emplace_back(static_cast<std::uint32_t>(rng.uniform_int(6)),
+                           rng.uniform_int(1000));
+    }
+    expect_decodes_like_std_map(entries);
+  }
+}
+
+TEST_F(CodecTest, FlatAckTableKeepsStdMapSurface) {
+  // Brace initialisation keeps the first of duplicate keys, like std::map.
+  const gcs::SeqTable table = {{net::NodeId{5}, 1}, {net::NodeId{2}, 2},
+                               {net::NodeId{5}, 3}};
+  const std::map<net::NodeId, std::uint64_t> map = {
+      {net::NodeId{5}, 1}, {net::NodeId{2}, 2}, {net::NodeId{5}, 3}};
+  ASSERT_EQ(table.size(), map.size());
+  EXPECT_TRUE(std::equal(table.begin(), table.end(), map.begin(),
+                         [](const auto& a, const auto& b) {
+                           return a.first == b.first && a.second == b.second;
+                         }));
+  EXPECT_EQ(table.find(net::NodeId{3}), table.end());
+  ASSERT_NE(table.find(net::NodeId{5}), table.end());
+  EXPECT_EQ(table.find(net::NodeId{5})->second, 1u);
+
+  gcs::SeqTable built;
+  built[net::NodeId{5}] = 1;  // operator[] inserts in key order
+  built[net::NodeId{2}] = 2;
+  EXPECT_EQ(built, table);
+  built[net::NodeId{2}] += 1;
+  EXPECT_NE(built, table);
 }
 
 }  // namespace

@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
+#include <map>
+#include <optional>
 #include <vector>
 
 #include "sim/check.hpp"
+#include "sim/event_queue.hpp"
 #include "sim/random.hpp"
 #include "sim/time.hpp"
 
@@ -75,6 +80,106 @@ TEST(EventQueue, EmptyHandleCancelIsNoop) {
   EventHandle handle;
   EXPECT_FALSE(handle.valid());
   EXPECT_FALSE(sim.cancel(handle));
+}
+
+TEST(EventQueue, FiredHandleDoesNotCancelEventReusingItsSlot) {
+  EventQueue q;
+  const EventHandle first = q.schedule(kEpoch + milliseconds(1), [] {});
+  q.pop().second();
+  // The fired event's slot is free; the next event takes it over.
+  bool fired = false;
+  const EventHandle second =
+      q.schedule(kEpoch + milliseconds(2), [&] { fired = true; });
+  EXPECT_FALSE(q.cancel(first));
+  EXPECT_EQ(q.size(), 1u);
+  q.pop().second();
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(q.cancel(second));
+}
+
+TEST(EventQueue, CancelledHandleDoesNotCancelEventReusingItsSlot) {
+  EventQueue q;
+  const EventHandle first = q.schedule(kEpoch + milliseconds(1), [] {});
+  EXPECT_TRUE(q.cancel(first));
+  EXPECT_TRUE(q.empty());  // discards the cancelled entry, freeing its slot
+  bool fired = false;
+  const EventHandle second =
+      q.schedule(kEpoch + milliseconds(2), [&] { fired = true; });
+  EXPECT_FALSE(q.cancel(first));
+  EXPECT_FALSE(q.empty());
+  q.pop().second();
+  EXPECT_TRUE(fired);
+  EXPECT_FALSE(q.cancel(second));
+}
+
+TEST(EventQueue, CallbackCanCancelSiblingAtSameTime) {
+  Simulator sim;
+  std::vector<int> order;
+  EventHandle sibling;
+  sim.after(milliseconds(5), [&] {
+    order.push_back(1);
+    EXPECT_TRUE(sim.cancel(sibling));
+    EXPECT_FALSE(sim.cancel(sibling));
+  });
+  sibling = sim.after(milliseconds(5), [&] { order.push_back(2); });
+  sim.after(milliseconds(5), [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 3}));
+  EXPECT_EQ(sim.pending_events(), 0u);
+}
+
+// 10^5 random schedule / cancel / pop operations against a reference
+// model: a std::multimap keeps equal keys in insertion order, which is
+// the queue's documented FIFO tie-break.
+TEST(EventQueue, RandomOperationsMatchMultimapModel) {
+  EventQueue q;
+  std::multimap<TimePoint, std::size_t> model;
+  std::vector<std::optional<std::multimap<TimePoint, std::size_t>::iterator>>
+      live;  // by event id; nullopt once fired or cancelled
+  std::vector<EventHandle> handles;
+  std::vector<std::size_t> fired;
+  Rng rng(2024);
+  TimePoint now = kEpoch;
+  for (int op = 0; op < 100000; ++op) {
+    const std::uint64_t dice = rng.uniform_int(10);
+    if (dice < 5) {
+      // Narrow time range: many events share a time point.
+      const TimePoint at = now + milliseconds(rng.uniform_int(20));
+      const std::size_t id = handles.size();
+      handles.push_back(q.schedule(at, [&fired, id] { fired.push_back(id); }));
+      live.emplace_back(model.emplace(at, id));
+    } else if (dice < 7) {
+      if (handles.empty()) continue;
+      const std::size_t id = rng.uniform_int(handles.size());
+      const bool expected = live[id].has_value();
+      ASSERT_EQ(q.cancel(handles[id]), expected) << "op " << op;
+      if (expected) {
+        model.erase(*live[id]);
+        live[id].reset();
+      }
+    } else {
+      ASSERT_EQ(q.empty(), model.empty()) << "op " << op;
+      if (model.empty()) continue;
+      const auto head = model.begin();
+      ASSERT_EQ(q.next_time(), head->first) << "op " << op;
+      auto [at, cb] = q.pop();
+      cb();
+      ASSERT_EQ(at, head->first);
+      ASSERT_FALSE(fired.empty());
+      ASSERT_EQ(fired.back(), head->second) << "op " << op;
+      live[head->second].reset();
+      model.erase(head);
+      now = at;
+    }
+    ASSERT_EQ(q.size(), model.size()) << "op " << op;
+  }
+  while (!model.empty()) {
+    auto [at, cb] = q.pop();
+    cb();
+    ASSERT_EQ(fired.back(), model.begin()->second);
+    model.erase(model.begin());
+  }
+  EXPECT_TRUE(q.empty());
 }
 
 TEST(Simulator, ClockAdvancesToEventTime) {
