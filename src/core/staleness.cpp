@@ -13,8 +13,12 @@ double poisson_cdf(double mean, std::uint64_t a) {
   const double log_mean = std::log(mean);
   double acc = 0.0;
   for (std::uint64_t n = 0; n <= a; ++n) {
-    const double log_term =
-        -mean + static_cast<double>(n) * log_mean - std::lgamma(static_cast<double>(n) + 1.0);
+    // lgamma_r, not std::lgamma: the latter stores the sign of gamma in
+    // glibc's global `signgam`, a data race between concurrent sweep
+    // threads. Both compute the same value.
+    int sign = 0;
+    const double log_term = -mean + static_cast<double>(n) * log_mean -
+                            ::lgamma_r(static_cast<double>(n) + 1.0, &sign);
     acc += std::exp(log_term);
   }
   return acc > 1.0 ? 1.0 : acc;

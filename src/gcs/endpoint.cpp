@@ -9,18 +9,21 @@ namespace aqueduct::gcs {
 
 namespace {
 
-/// Every gcs wire message carries its GroupId; extract it for demux.
-GroupId group_of(const net::MessagePtr& msg) {
-  if (auto m = net::message_cast<DataMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<HeartbeatMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<NackMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<JoinMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<LeaveMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<SuspectMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<ProposeMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<FlushMsg>(msg)) return m->group;
-  if (auto m = net::message_cast<InstallMsg>(msg)) return m->group;
-  return GroupId{};
+/// Every gcs wire message carries its GroupId; extract it for demux. Each
+/// kWire* id names exactly one final message type, so the casts are exact.
+GroupId group_of(const net::Message& msg) {
+  switch (msg.wire_type()) {
+    case kWireData: return static_cast<const DataMsg&>(msg).group;
+    case kWireHeartbeat: return static_cast<const HeartbeatMsg&>(msg).group;
+    case kWireNack: return static_cast<const NackMsg&>(msg).group;
+    case kWireJoin: return static_cast<const JoinMsg&>(msg).group;
+    case kWireLeave: return static_cast<const LeaveMsg&>(msg).group;
+    case kWireSuspect: return static_cast<const SuspectMsg&>(msg).group;
+    case kWirePropose: return static_cast<const ProposeMsg&>(msg).group;
+    case kWireFlush: return static_cast<const FlushMsg&>(msg).group;
+    case kWireInstall: return static_cast<const InstallMsg&>(msg).group;
+    default: return GroupId{};
+  }
 }
 
 }  // namespace
@@ -72,7 +75,7 @@ net::NodeId Endpoint::reincarnate() {
 
 void Endpoint::on_message(net::NodeId from, net::MessagePtr msg) {
   if (crashed_) return;
-  const GroupId group = group_of(msg);
+  const GroupId group = group_of(*msg);
   AQUEDUCT_CHECK_MSG(group.valid(), "non-gcs message on gcs endpoint");
   auto it = members_.find(group);
   if (it == members_.end()) return;  // no member for this group (e.g. left)

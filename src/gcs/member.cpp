@@ -68,6 +68,7 @@ void Member::bootstrap_singleton() {
   view_ = View{group_, 1, {self_}};
   joined_ = true;
   last_proposal_seen_ = 1;
+  stability_dirty_ = true;
   last_heard_[self_] = exec_.now();
   heartbeat_task_->start();
   fd_task_->start();
@@ -123,6 +124,7 @@ void Member::multicast(net::MessagePtr payload) {
   msg->payload = std::move(payload);
   const DataMsgPtr frozen = msg;
   sent_mcast_.emplace(frozen->seq, frozen);
+  stability_dirty_ = true;
   ++stats_.mcasts_sent;
   metrics_.mcasts_sent.inc();
   transmit_mcast(frozen);
@@ -197,29 +199,28 @@ void Member::send_to_set(const std::vector<net::NodeId>& dests,
 // Receive path
 // ---------------------------------------------------------------------------
 
+// Dispatch switches on the wire id: each kWire* id names exactly one final
+// message type, so the static casts below are exact.
 void Member::handle(net::NodeId from, const net::MessagePtr& msg) {
   if (stopped_) return;
   last_heard_[from] = exec_.now();
-  if (auto data = net::message_cast<DataMsg>(msg)) {
-    handle_data(from, data);
-  } else if (auto hb = net::message_cast<HeartbeatMsg>(msg)) {
-    handle_heartbeat(from, *hb);
-  } else if (auto nack = net::message_cast<NackMsg>(msg)) {
-    handle_nack(from, *nack);
-  } else if (net::message_cast<JoinMsg>(msg)) {
-    handle_join(from);
-  } else if (net::message_cast<LeaveMsg>(msg)) {
-    handle_leave(from);
-  } else if (auto sus = net::message_cast<SuspectMsg>(msg)) {
-    handle_suspect(from, *sus);
-  } else if (auto prop = net::message_cast<ProposeMsg>(msg)) {
-    handle_propose(from, *prop);
-  } else if (auto flush = net::message_cast<FlushMsg>(msg)) {
-    handle_flush(from, flush);
-  } else if (auto install = net::message_cast<InstallMsg>(msg)) {
-    handle_install(install);
-  } else {
-    AQUEDUCT_CHECK_MSG(false, "unknown gcs message " << msg->type_name());
+  switch (msg->wire_type()) {
+    case kWireData:
+      handle_data(from, std::static_pointer_cast<const DataMsg>(msg));
+      return;
+    case kWireHeartbeat:
+      handle_heartbeat(from, static_cast<const HeartbeatMsg&>(*msg));
+      return;
+    case kWireNack:
+      handle_nack(from, static_cast<const NackMsg&>(*msg));
+      return;
+    case kWireJoin:
+      handle_join(from);
+      return;
+    default:
+      if (!dispatch_control(from, msg)) {
+        AQUEDUCT_CHECK_MSG(false, "unknown gcs message " << msg->type_name());
+      }
   }
 }
 
@@ -229,23 +230,32 @@ void Member::handle_data(net::NodeId /*from*/,
 }
 
 bool Member::dispatch_control(net::NodeId from, const net::MessagePtr& payload) {
-  if (auto prop = net::message_cast<ProposeMsg>(payload)) {
-    handle_propose(from, *prop);
-  } else if (auto flush = net::message_cast<FlushMsg>(payload)) {
-    handle_flush(from, flush);
-  } else if (auto install = net::message_cast<InstallMsg>(payload)) {
-    handle_install(install);
-  } else if (auto sus = net::message_cast<SuspectMsg>(payload)) {
-    handle_suspect(from, *sus);
-  } else if (net::message_cast<LeaveMsg>(payload)) {
-    handle_leave(from);
-  } else {
-    return false;  // application payload
+  if (payload == nullptr) return false;
+  switch (payload->wire_type()) {
+    case kWirePropose:
+      handle_propose(from, static_cast<const ProposeMsg&>(*payload));
+      return true;
+    case kWireFlush:
+      handle_flush(from, std::static_pointer_cast<const FlushMsg>(payload));
+      return true;
+    case kWireInstall:
+      handle_install(std::static_pointer_cast<const InstallMsg>(payload));
+      return true;
+    case kWireSuspect:
+      handle_suspect(from, static_cast<const SuspectMsg&>(*payload));
+      return true;
+    case kWireLeave:
+      handle_leave(from);
+      return true;
+    default:
+      return false;  // application payload
   }
-  return true;
 }
 
 void Member::accept(net::NodeId sender, const DataMsgPtr& msg) {
+  // `chan` is last used before schedule_nack_check(), which indexes the
+  // same (now present) key and so cannot insert; deliver_ready() looks the
+  // channel up afresh.
   InChannel& chan = msg->is_mcast ? mcast_in_[sender] : p2p_in_[sender];
   if (msg->seq <= chan.delivered || chan.buffered.contains(msg->seq)) {
     ++stats_.duplicates_dropped;
@@ -278,7 +288,7 @@ void Member::deliver_ready(net::NodeId sender, bool is_mcast) {
     if (is_mcast) {
       // Retain a copy for the flush protocol until the message is stable.
       chan.retained.emplace(msg->seq, msg);
-      ack_matrix_[self_][sender] = chan.delivered;
+      ack_self(sender, chan.delivered);
     }
     if (dispatch_control(sender, msg->payload)) {
       if (stopped_) return;
@@ -293,6 +303,8 @@ void Member::deliver_ready(net::NodeId sender, bool is_mcast) {
 
 void Member::schedule_nack_check(net::NodeId sender, bool is_mcast,
                                  std::uint64_t up_to) {
+  // Neither `chan` nor `c` below is held across an insert: scheduling an
+  // event and building a NACK touch no channel table.
   InChannel& chan = is_mcast ? mcast_in_[sender] : p2p_in_[sender];
   if (chan.nack_pending_up_to && *chan.nack_pending_up_to >= up_to) return;
   chan.nack_pending_up_to = up_to;
@@ -348,9 +360,8 @@ void Member::send_heartbeat() {
   hb->group = group_;
   hb->view = view_.id;
   hb->my_mcast_seq = mcast_send_seq_;
-  // The source maps iterate in key order, so every table is appended to.
-  hb->my_p2p_seq.reserve(p2p_send_seq_.size());
-  for (const auto& [dest, seq] : p2p_send_seq_) hb->my_p2p_seq.append(dest, seq);
+  hb->my_p2p_seq = p2p_send_seq_;
+  // The channel tables iterate in key order, so each ack table is appended to.
   hb->mcast_acks.reserve(mcast_in_.size() + 1);
   for (const auto& [sender, chan] : mcast_in_) {
     hb->mcast_acks.append(sender, chan.delivered);
@@ -364,21 +375,26 @@ void Member::send_heartbeat() {
 }
 
 void Member::handle_heartbeat(net::NodeId from, const HeartbeatMsg& msg) {
-  // Stability bookkeeping.
-  ack_matrix_[from] = msg.mcast_acks;
+  // Stability bookkeeping: most heartbeats repeat the sender's last row.
+  SeqTable& row = ack_matrix_[from];
+  if (row != msg.mcast_acks) {
+    row = msg.mcast_acks;
+    stability_dirty_ = true;
+  }
   collect_stability();
 
   // Garbage-collect the p2p send buffer towards `from`.
   if (auto ack = msg.p2p_acks.find(self_); ack != msg.p2p_acks.end()) {
     if (auto chan = sent_p2p_.find(from); chan != sent_p2p_.end()) {
-      std::erase_if(chan->second,
-                    [&](const auto& kv) { return kv.first <= ack->second; });
+      auto& sent = chan->second;
+      sent.erase(sent.begin(), sent.upper_bound(ack->second));
     }
   }
 
   // Loss detection on the mcast stream of `from`: anything between our
   // contiguous high-water mark and the sender's announced seq might be a
-  // gap (trailing or interior) worth NACKing.
+  // gap (trailing or interior) worth NACKing. Each `chan` below is last
+  // read before schedule_nack_check(), which finds its key present.
   {
     InChannel& chan = mcast_in_[from];
     if (msg.my_mcast_seq > chan.delivered) {
@@ -394,31 +410,49 @@ void Member::handle_heartbeat(net::NodeId from, const HeartbeatMsg& msg) {
   }
 }
 
+void Member::ack_self(net::NodeId sender, std::uint64_t seq) {
+  ack_matrix_[self_][sender] = seq;
+  stability_dirty_ = true;
+}
+
 void Member::collect_stability() {
-  if (!joined_) return;
+  // With no input changed since the last complete pass, every held seq is
+  // still above its stream's stable point and a pass would drop nothing.
+  if (!stability_dirty_ || !joined_) return;
+  stability_dirty_ = false;
   // A multicast (sender, seq) is stable once every current-view member has
   // delivered it; stable copies can be dropped from retained logs and from
-  // the sender's own buffer.
-  auto stable_for = [&](net::NodeId sender) {
+  // the sender's own buffer. A member without an ack row makes nothing
+  // stable.
+  stability_rows_.clear();
+  for (const net::NodeId m : view_.members) {
+    const auto row = ack_matrix_.find(m);
+    if (row == ack_matrix_.end()) return;
+    stability_rows_.push_back(&row->second);
+  }
+  if (stability_rows_.empty()) return;
+  // The stable point of `sender`'s stream, or any value below `oldest` (its
+  // oldest held seq) once one member is seen to lag behind it — nothing of
+  // the stream is collectable then.
+  const auto stable_for = [&](net::NodeId sender, std::uint64_t oldest) {
     std::uint64_t stable = UINT64_MAX;
-    for (const net::NodeId m : view_.members) {
-      auto row = ack_matrix_.find(m);
-      if (row == ack_matrix_.end()) return std::uint64_t{0};
-      auto cell = row->second.find(sender);
-      stable = std::min(stable, cell == row->second.end() ? 0 : cell->second);
+    for (const SeqTable* row : stability_rows_) {
+      const auto cell = row->find(sender);
+      const std::uint64_t acked = cell == row->end() ? 0 : cell->second;
+      if (acked < oldest) return acked;
+      stable = std::min(stable, acked);
     }
-    return stable == UINT64_MAX ? 0 : stable;
+    return stable;
   };
   for (auto& [sender, chan] : mcast_in_) {
-    if (chan.retained.empty()) continue;
-    const std::uint64_t stable = stable_for(sender);
-    std::erase_if(chan.retained,
-                  [&](const auto& kv) { return kv.first <= stable; });
+    auto& retained = chan.retained;
+    if (retained.empty()) continue;
+    const std::uint64_t stable = stable_for(sender, retained.begin()->first);
+    retained.erase(retained.begin(), retained.upper_bound(stable));
   }
   if (!sent_mcast_.empty()) {
-    const std::uint64_t stable = stable_for(self_);
-    std::erase_if(sent_mcast_,
-                  [&](const auto& kv) { return kv.first <= stable; });
+    const std::uint64_t stable = stable_for(self_, sent_mcast_.begin()->first);
+    sent_mcast_.erase(sent_mcast_.begin(), sent_mcast_.upper_bound(stable));
   }
 }
 
@@ -641,11 +675,11 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
     // old view's messages (application-level state transfer brings it up to
     // date — see the replication layer).
     for (const auto& [sender, target] : msg->deliver_up_to) {
-      InChannel& chan = mcast_in_[sender];
+      InChannel& chan = mcast_in_[sender];  // used before the next insert
       chan.delivered = std::max(chan.delivered, target);
       std::erase_if(chan.buffered,
                     [&](const auto& kv) { return kv.first <= chan.delivered; });
-      ack_matrix_[self_][sender] = chan.delivered;
+      ack_self(sender, chan.delivered);
     }
     // Messages multicast in the *new* view can race ahead of this install;
     // drain anything that became contiguous once the baseline was set.
@@ -660,7 +694,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
   } else {
     // Surviving member: complete delivery up to the agreed cut.
     for (const DataMsgPtr& m : msg->resolution) {
-      InChannel& chan = mcast_in_[m->sender];
+      InChannel& chan = mcast_in_[m->sender];  // used before the next insert
       if (m->seq > chan.delivered && !chan.buffered.contains(m->seq)) {
         chan.buffered.emplace(m->seq, m);
       }
@@ -677,7 +711,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
         ++stats_.flush_gaps;
         metrics_.flush_gaps.inc();
         cit->second.delivered += 1;
-        ack_matrix_[self_][sender] = cit->second.delivered;
+        ack_self(sender, cit->second.delivered);
         deliver_ready(sender, /*is_mcast=*/true);
         if (stopped_) return;
       }
@@ -685,6 +719,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
   }
 
   view_ = msg->view;
+  stability_dirty_ = true;
   last_proposal_seen_ = std::max(last_proposal_seen_, view_.id);
   blocked_ = false;
   ++stats_.view_changes;
@@ -714,22 +749,22 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
                 [&](net::NodeId n) { return view_.contains(n); });
   std::erase_if(pending_leavers_,
                 [&](net::NodeId n) { return !view_.contains(n); });
-  std::erase_if(ack_matrix_, [&](const auto& kv) {
+  erase_if(ack_matrix_, [&](const auto& kv) {
     return kv.first != self_ && !view_.contains(kv.first);
   });
-  std::erase_if(sent_p2p_,
-                [&](const auto& kv) { return !view_.contains(kv.first); });
+  erase_if(sent_p2p_,
+           [&](const auto& kv) { return !view_.contains(kv.first); });
   // Garbage-collect per-sender state of departed members. NodeIds are
   // never reused (a recovered process reincarnates under a fresh id), so
   // an ex-member's channels and failure-detector timestamps can never be
   // consulted again — without this, every crash/leave leaks its channel
   // buffers and `last_heard_` entry for the lifetime of the member.
-  std::erase_if(last_heard_,
-                [&](const auto& kv) { return !view_.contains(kv.first); });
-  std::erase_if(mcast_in_,
-                [&](const auto& kv) { return !view_.contains(kv.first); });
-  std::erase_if(p2p_in_,
-                [&](const auto& kv) { return !view_.contains(kv.first); });
+  erase_if(last_heard_,
+           [&](const auto& kv) { return !view_.contains(kv.first); });
+  erase_if(mcast_in_,
+           [&](const auto& kv) { return !view_.contains(kv.first); });
+  erase_if(p2p_in_,
+           [&](const auto& kv) { return !view_.contains(kv.first); });
   for (const net::NodeId m : view_.members) last_heard_[m] = exec_.now();
 
   heartbeat_task_->start();

@@ -30,6 +30,7 @@
 
 #include "gcs/config.hpp"
 #include "gcs/directory.hpp"
+#include "gcs/flat_map.hpp"
 #include "gcs/messages.hpp"
 #include "gcs/types.hpp"
 #include "net/message.hpp"
@@ -159,6 +160,10 @@ class Member {
   void accept(net::NodeId sender, const DataMsgPtr& msg);
   void schedule_nack_check(net::NodeId sender, bool is_mcast, std::uint64_t up_to);
   void transmit_mcast(const DataMsgPtr& msg);
+  /// Stores `seq` as this member's own ack of `sender`'s multicast stream.
+  void ack_self(net::NodeId sender, std::uint64_t seq);
+  /// Drops stable multicasts from the retained logs and from sent_mcast_.
+  /// A no-op unless an input changed since the last complete pass.
   void collect_stability();
 
   // ---- membership / flush ----
@@ -199,8 +204,8 @@ class Member {
   // send side
   std::uint64_t mcast_send_seq_ = 0;
   std::map<std::uint64_t, DataMsgPtr> sent_mcast_;  // unstable own multicasts
-  std::map<net::NodeId, std::uint64_t> p2p_send_seq_;
-  std::map<net::NodeId, std::map<std::uint64_t, DataMsgPtr>> sent_p2p_;
+  SeqTable p2p_send_seq_;
+  FlatMap<net::NodeId, std::map<std::uint64_t, DataMsgPtr>> sent_p2p_;
   struct PendingSend {
     bool is_mcast;
     net::NodeId dest;
@@ -208,15 +213,22 @@ class Member {
   };
   std::deque<PendingSend> pending_sends_;  // queued while blocked
 
-  // receive side
-  std::map<net::NodeId, InChannel> mcast_in_;
-  std::map<net::NodeId, InChannel> p2p_in_;
+  // receive side (FlatMap: an insert invalidates references to channels)
+  FlatMap<net::NodeId, InChannel> mcast_in_;
+  FlatMap<net::NodeId, InChannel> p2p_in_;
 
   // stability: member -> (sender -> cumulative mcast ack)
-  std::map<net::NodeId, SeqTable> ack_matrix_;
+  FlatMap<net::NodeId, SeqTable> ack_matrix_;
+  /// Set whenever an input of collect_stability() changes: an ack_matrix_
+  /// row takes a different value, the self row is written, a view is
+  /// installed, or an own multicast is buffered. Cleared by a complete
+  /// pass; while clear, a pass could collect nothing.
+  bool stability_dirty_ = false;
+  /// Scratch for collect_stability(): the view members' ack rows.
+  std::vector<const SeqTable*> stability_rows_;
 
   // failure detection
-  std::map<net::NodeId, sim::TimePoint> last_heard_;
+  FlatMap<net::NodeId, sim::TimePoint> last_heard_;
   std::set<net::NodeId> suspects_;
 
   // membership coordination
@@ -228,7 +240,7 @@ class Member {
   std::uint64_t my_proposal_ = 0;
   std::vector<net::NodeId> proposed_members_;
   std::set<net::NodeId> flush_waiting_;
-  std::map<net::NodeId, std::shared_ptr<const FlushMsg>> flush_replies_;
+  FlatMap<net::NodeId, std::shared_ptr<const FlushMsg>> flush_replies_;
   sim::EventHandle flush_timeout_;
   sim::EventHandle join_retry_;
   std::shared_ptr<const InstallMsg> last_install_;  // for lost-install repair

@@ -1,6 +1,8 @@
 #include "obs/json.hpp"
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 
 namespace aqueduct::obs {
@@ -30,21 +32,29 @@ std::string json_escape(std::string_view s) {
 
 std::string json_number(double v) {
   if (!std::isfinite(v)) return "0";  // JSON has no inf/nan
-  if (v == static_cast<double>(static_cast<std::int64_t>(v)) &&
-      std::abs(v) < 1e15) {
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<std::int64_t>(v))) {
     return std::to_string(static_cast<std::int64_t>(v));
   }
+  // The shortest %.*g precision that round-trips, else %.17g. No decimal
+  // with fewer significant digits than the shortest round-trip form
+  // (to_chars' scientific digits) parses back to `v`, so the search starts
+  // there; to_chars with a precision formats exactly as printf's %.*g.
   char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  // Trim to the shortest representation that round-trips.
-  for (int precision = 1; precision < 17; ++precision) {
-    char shorter[32];
-    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, v);
-    double parsed = 0.0;
-    std::sscanf(shorter, "%lf", &parsed);
-    if (parsed == v) return shorter;
+  char* const last = buf + sizeof(buf);
+  char* end = std::to_chars(buf, last, v, std::chars_format::scientific).ptr;
+  int precision = 0;
+  for (const char* c = buf; c != end && *c != 'e'; ++c) {
+    if (*c >= '0' && *c <= '9') ++precision;
   }
-  return buf;
+  for (; precision < 17; ++precision) {
+    end = std::to_chars(buf, last, v, std::chars_format::general, precision).ptr;
+    double parsed = 0.0;
+    std::from_chars(buf, end, parsed);
+    if (parsed == v) return std::string(buf, end);
+  }
+  end = std::to_chars(buf, last, v, std::chars_format::general, 17).ptr;
+  return std::string(buf, end);
 }
 
 }  // namespace aqueduct::obs

@@ -577,7 +577,7 @@ void ReplicaServer::handle_read_request(
 
   // Selection instant: a read addressed to this (non-sequencer) replica
   // means some client's Algorithm 1 picked it — for a reborn replica this
-  // marks re-admission (bench_recovery's time-to-first-selection).
+  // marks re-admission (the `recovery` plan's time-to-first-selection).
   if (first_read_request_at_ == sim::kEpoch) first_read_request_at_ = exec_.now();
 
   if (pending_reads_.contains(id)) {

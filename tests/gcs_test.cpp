@@ -8,6 +8,7 @@
 
 #include "gcs/endpoint.hpp"
 #include "net/loopback.hpp"
+#include "obs/trace.hpp"
 #include "sim/simulator.hpp"
 
 namespace aqueduct::gcs {
@@ -243,6 +244,84 @@ TEST(GcsStability, SentBuffersGarbageCollected) {
   f.member(0).multicast(text("after-gc"));
   f.settle();
   EXPECT_EQ(f.from_sender(2, f.member(0).self()).back(), "after-gc");
+}
+
+TEST(GcsStability, NackRetransmitsOnlyUntilTheLastMemberAcks) {
+  Fixture f(3);
+  f.join_all();
+  Member& sender = f.member(0);
+  const net::NodeId lagging = f.member(2).self();
+  // Member 2 hears nothing from the sender (for less than the suspect
+  // timeout), so its heartbeats keep acking nothing of the new multicast.
+  f.network.set_link_loss(sender.self(), lagging, 1.0);
+  sender.multicast(text("held"));
+  f.settle(milliseconds(600));  // member 1 delivers and acks; member 2 not
+  ASSERT_EQ(f.from_sender(1, sender.self()).size(), 1u);
+  ASSERT_TRUE(f.from_sender(2, sender.self()).empty());
+
+  auto nack = std::make_shared<NackMsg>();
+  nack->group = kGroup;
+  nack->is_mcast = true;
+  nack->from_seq = 1;
+  nack->to_seq = 1000;
+  const std::uint64_t before = sender.stats().retransmissions;
+  sender.handle(f.member(1).self(), nack);
+  EXPECT_EQ(sender.stats().retransmissions, before + 1)
+      << "a multicast one member has not acked must still be held";
+
+  // Member 2 repairs the gap; its next heartbeat makes the message stable.
+  f.network.clear_link_loss(sender.self(), lagging);
+  f.settle(seconds(1));
+  ASSERT_EQ(f.from_sender(2, sender.self()).size(), 1u);
+  const std::uint64_t after_repair = sender.stats().retransmissions;
+  sender.handle(f.member(1).self(), nack);
+  EXPECT_EQ(sender.stats().retransmissions, after_repair)
+      << "a stable multicast must have been garbage-collected";
+  EXPECT_EQ(sender.view().size(), 3u);
+}
+
+// Records the wire size of every delivered gcs.data message to one node.
+struct DataSizesTo final : obs::TraceSink {
+  explicit DataSizesTo(net::NodeId dest) : dest(dest) {}
+  void on_message(const obs::MessageEvent& e) override {
+    if (e.to == dest && e.type_name == "gcs.data" && e.dropped.empty()) {
+      sizes[e.from].push_back(e.wire_size);
+    }
+  }
+  net::NodeId dest;
+  std::map<net::NodeId, std::vector<std::size_t>> sizes;
+};
+
+TEST(GcsStability, LastMemberToDeliverCollectsWithoutAnyRowChanging) {
+  Fixture f(3);
+  f.join_all();
+  const net::NodeId sender = f.member(0).self();
+  const net::NodeId peer = f.member(1).self();
+  const net::NodeId lagging = f.member(2).self();
+  // Member 2 delivers the multicast last, after a NACK repair. By then the
+  // other rows already ack it, and with the group idle they never change
+  // again: only member 2's own ack makes the message stable there.
+  f.network.set_link_loss(sender, lagging, 1.0);
+  f.member(0).multicast(text("late"));
+  f.settle(milliseconds(600));
+  f.network.clear_link_loss(sender, lagging);
+  f.settle(seconds(1));
+  ASSERT_EQ(f.from_sender(2, sender).size(), 1u);
+
+  // A view change makes members 1 and 2 flush to the coordinator: their
+  // flushes carry the same delivered cut and no held message each, so they
+  // are the same size unless member 2 still retains the stable multicast.
+  DataSizesTo to_coordinator(sender);
+  f.network.tracing().add(&to_coordinator);
+  f.member(1).leave();
+  f.settle(milliseconds(500));
+  f.network.tracing().remove(&to_coordinator);
+  EXPECT_EQ(f.member(0).view().size(), 2u);
+  // Member 1 sends its leave notice, then its flush; member 2 its flush.
+  ASSERT_EQ(to_coordinator.sizes[peer].size(), 2u);
+  ASSERT_EQ(to_coordinator.sizes[lagging].size(), 1u);
+  EXPECT_EQ(to_coordinator.sizes[lagging].back(),
+            to_coordinator.sizes[peer].back());
 }
 
 TEST(GcsLeave, GracefulLeaveShrinksView) {

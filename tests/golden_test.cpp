@@ -1,4 +1,4 @@
-// Golden-trajectory suite: pins the exact bytes of two sweep plans.
+// Golden-trajectory suite: pins the exact bytes of three sweep plans.
 //
 // The trend gates in tools/bench_compare.py tolerate ~20% drift, which is
 // far too loose to catch a performance change that silently alters the
@@ -11,6 +11,7 @@
 // The golden files are the output of
 //   sweep_cli --plan protocol_overhead --seed 1 --seeds 2 --requests 60
 //   sweep_cli --plan gray_failure --seed 1 --seeds 3 --requests 60
+//   sweep_cli --plan gray_chaos --seed 1 --seeds 2 --requests 60
 // A change that alters the simulated behaviour on purpose regenerates them
 // with those commands and says why in its change notes.
 #include <gtest/gtest.h>
@@ -55,6 +56,13 @@ TEST(GoldenTrajectory, ProtocolOverheadSweepJsonIsByteIdentical) {
 
 TEST(GoldenTrajectory, GrayFailureSweepJsonIsByteIdentical) {
   EXPECT_EQ(run_plan("gray_failure", 3, 60), read_golden("gray_failure.json"));
+}
+
+// The fault path under the chaos transport: thousands of duplicated and
+// reordered messages (so heartbeat ack rows also move backwards), NACK
+// repair, and the telemetry digest, whose doubles go through json_number.
+TEST(GoldenTrajectory, GrayChaosSweepJsonIsByteIdentical) {
+  EXPECT_EQ(run_plan("gray_chaos", 2, 60), read_golden("gray_chaos.json"));
 }
 
 }  // namespace

@@ -3,8 +3,15 @@
 // end-to-end integration with a full scenario run.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cfloat>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
+#include <limits>
 #include <map>
+#include <random>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -150,6 +157,73 @@ TEST(JsonWriter, IntegralDoublesHaveNoFraction) {
   EXPECT_EQ(obs::json_number(3.0), "3");
   EXPECT_EQ(obs::json_number(-2.0), "-2");
   EXPECT_EQ(obs::json_number(0.5), "0.5");
+}
+
+// The formatting json_number has always produced, computed the slow way:
+// the first printf precision from 1 to 16 whose output scanf parses back
+// to `v`, else %.17g.
+std::string json_number_oracle(double v) {
+  if (!std::isfinite(v)) return "0";
+  if (std::abs(v) < 1e15 &&
+      v == static_cast<double>(static_cast<std::int64_t>(v))) {
+    return std::to_string(static_cast<std::int64_t>(v));
+  }
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.17g", v);
+  for (int precision = 1; precision < 17; ++precision) {
+    char shorter[32];
+    std::snprintf(shorter, sizeof(shorter), "%.*g", precision, v);
+    double parsed = 0.0;
+    std::sscanf(shorter, "%lf", &parsed);
+    if (parsed == v) return shorter;
+  }
+  return buf;
+}
+
+TEST(JsonWriter, NumberMatchesPrintfScanfOracleOnEdgeValues) {
+  const double edges[] = {
+      0.0, -0.0, 1e15, -1e15, 1e16, 1e-5, 1e-4, 0.1, 0.3, -0.3, 0.5,
+      1.0 / 3.0, 2.0 / 3.0, 1e21, 1e22, 1e-7, 123456789012345.6,
+      9007199254740993.0, 4.35, 0.000123456789,
+      std::numeric_limits<double>::denorm_min(),
+      -std::numeric_limits<double>::denorm_min(), 1e-310, -2.5e-320,
+      DBL_MIN, std::nextafter(DBL_MIN, 0.0), DBL_MAX, -DBL_MAX,
+      std::nextafter(1.0, 2.0), std::nextafter(1.0, 0.0),
+      std::numeric_limits<double>::infinity(),
+      std::numeric_limits<double>::quiet_NaN()};
+  for (const double v : edges) {
+    EXPECT_EQ(obs::json_number(v), json_number_oracle(v)) << v;
+  }
+  EXPECT_EQ(obs::json_number(1e15), "1e+15");
+  EXPECT_EQ(obs::json_number(1e-5), "1e-05");
+  EXPECT_EQ(obs::json_number(0.1), "0.1");
+}
+
+TEST(JsonWriter, NumberMatchesPrintfScanfOracleOnAMillionSeededDoubles) {
+  std::mt19937_64 rng(20261019);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::uniform_int_distribution<int> exponent(-12, 20);
+  std::uniform_int_distribution<int> digits(0, 6);
+  std::size_t mismatches = 0;
+  const auto check = [&](double v) {
+    const std::string got = obs::json_number(v);
+    const std::string want = json_number_oracle(v);
+    if (got != want && ++mismatches <= 10) {
+      ADD_FAILURE() << "bits " << std::bit_cast<std::uint64_t>(v) << ": got "
+                    << got << ", oracle " << want;
+    }
+  };
+  for (int i = 0; i < 200'000; ++i) {
+    check(std::bit_cast<double>(rng()));  // every exponent, full mantissas
+  }
+  for (int i = 0; i < 300'000; ++i) check(unit(rng));
+  for (int i = 0; i < 500'000; ++i) {
+    // Few-digit decimals at every scale: the short precisions.
+    const double scale = std::pow(10.0, digits(rng));
+    check(std::round(unit(rng) * scale) / scale *
+          std::pow(10.0, exponent(rng)));
+  }
+  EXPECT_EQ(mismatches, 0u);
 }
 
 // ---------------------------------------------------------------------------
