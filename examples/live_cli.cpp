@@ -5,44 +5,44 @@
 //            [--runtime real|sim] [--json-out FILE] [--no-json]
 //            [--telemetry-out FILE] [--telemetry-period MS]
 //            [--prom-out FILE]
-//   live_cli --role {sequencer,primary,secondary,publisher,client}
+//   live_cli --role {sequencer,primary,secondary,client}
 //            --listen HOST:PORT --peer NAME=HOST:PORT [--peer ...]
 //            [--duration SEC] [--requests N] [--seed S]
 //            [--json-out FILE] [--no-json]
 //            [--chaos-loss P] [--chaos-duplicate P] [--chaos-reorder P]
 //            [--chaos-delay-ms MS]
 //
-// Single-process mode boots a sequencer, two primaries, two secondaries,
-// and two workload clients with different QoS specs (a strict low-deadline
-// reader and a relaxed staleness-tolerant one) on a RealTimeExecutor:
-// messages are delivered in-process after real injected latency,
-// heartbeats and the lazy publisher fire on wall-clock timers, and
-// requests complete in real elapsed time. While running, a
-// MetricsSnapshotter captures the registry every --telemetry-period ms and
-// streams it to the console, a JSONL time series (--telemetry-out), and a
-// Prometheus text file (--prom-out). Prints the observed timing-failure
-// probability, per-client SLA status from the live SlaMonitor, and the
-// per-request latency breakdown from the obs pipeline, then verifies
-// committed-prefix agreement across the replicas before exiting.
+// Both modes run one cluster (live_config: ~20 ms service, 500 ms lazy
+// publication, clients alternating between a strict low-deadline reader
+// and a relaxed staleness-tolerant one), and every node is built by
+// harness::assemble_node, the path the simulated experiments use.
 //
-// Multi-process mode (--role) runs ONE node of the service per OS process
-// over localhost UDP: the identical protocol stack, but messages cross a
-// real socket through the wire codec (net/codec.hpp).
-// The --chaos-* flags wrap this process's UDP socket in the chaos
-// decorator (net/chaos.hpp): outbound messages are dropped, duplicated,
-// reordered, or delayed with the given parameters before they reach the
-// wire, so a cluster of chaos-flagged processes exercises the gray-failure
-// hardening over real sockets (tools/live_smoke.py --chaos drives this). Every process gets
-// the same --peer address book; --listen must match this process's own
-// entry, which names it (e.g. "primary2") and fixes its NodeId. The
-// process whose name is "sequencer" bootstraps the groups; everyone else
-// pre-seeds its join directory with the sequencer and joins through the
-// normal gcs machinery. tools/live_smoke.py launches a full cluster and
-// cross-checks the per-process reports for committed-prefix agreement.
+// Single-process mode boots a sequencer, two primaries, two secondaries
+// and two clients through harness::Scenario on a RealTimeExecutor
+// (--runtime sim swaps in the simulator). A MetricsSnapshotter streams the
+// registry every --telemetry-period ms to the console, a JSONL time series
+// (--telemetry-out) and a Prometheus text file (--prom-out). At the end it
+// prints the timing-failure probability, per-client SLA status and the
+// per-request latency breakdown, and checks committed-prefix agreement
+// (harness::check_agreement).
 //
-// Exit status: 0 on a clean run, 1 if no request completed or any
-// ordering/agreement check failed, 2 on a malformed command line. The
-// emitted BENCH_live.json is machine- and load-dependent by construction
+// Multi-process mode (--role) runs ONE node per OS process over UDP, so
+// messages cross a real socket through the wire codec. Every process gets
+// the same --peer address book (harness/address_book.hpp); --listen must
+// match this process's entry, whose name (e.g. "primary2") fixes its role,
+// NodeId and slot, and the book numbers the primaries and secondaries.
+// The "sequencer" process bootstraps the groups; everyone else pre-seeds
+// its join directory with it. The highest-numbered primary joins last and
+// so becomes the lazy publisher. The --chaos-* flags wrap this process's
+// socket in the chaos decorator (net/chaos.hpp), which drops, duplicates,
+// reorders or delays outbound messages. tools/live_smoke.py launches a
+// full cluster (plain or --chaos) and cross-checks the per-process reports.
+//
+// Exit status: 0 on a clean run; 1 if no request completed, an
+// ordering/agreement check failed, the socket could not be opened or
+// bound, or an output file could not be written; 2 on a malformed command
+// line (including a HOST that is not IPv4 or "localhost" and a --peer name
+// or address given twice). BENCH_live.json is machine- and load-dependent
 // and is NOT part of the bench-trend gate (see EXPERIMENTS.md).
 #include <algorithm>
 #include <cstdio>
@@ -51,13 +51,14 @@
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
-#include <tuple>
 #include <utility>
 #include <vector>
 
 #include "gcs/directory.hpp"
 #include "gcs/endpoint.hpp"
+#include "harness/address_book.hpp"
 #include "harness/cli.hpp"
 #include "harness/scenario.hpp"
 #include "harness/stats.hpp"
@@ -81,175 +82,138 @@ namespace {
       "  [--runtime real|sim] [--json-out FILE] [--no-json]\n"
       "  [--telemetry-out FILE] [--telemetry-period MS]\n"
       "  [--prom-out FILE]\n"
-      "or (one node per process, over localhost UDP):\n"
-      "  live_cli --role {sequencer,primary,secondary,publisher,client}\n"
+      "or (one node per process, over UDP):\n"
+      "  live_cli --role {sequencer,primary,secondary,client}\n"
       "    --listen HOST:PORT --peer NAME=HOST:PORT [--peer ...]\n"
       "    [--duration SEC] [--requests N] [--seed S]\n"
       "    [--json-out FILE] [--no-json]\n"
       "    [--chaos-loss P] [--chaos-duplicate P] [--chaos-reorder P]\n"
       "    [--chaos-delay-ms MS]\n"
-      "  where NAME is sequencer, primaryN, secondaryN, publisher, or\n"
-      "  clientN, and --listen matches this process's --peer entry.\n");
+      "  where NAME is sequencer, primaryN, secondaryN, or clientN (each\n"
+      "  name and address at most once), HOST is an IPv4 address or\n"
+      "  localhost, and --listen matches this process's --peer entry.\n");
   std::exit(2);
+}
+
+/// The cluster both modes run: ~20 ms service, 500 ms lazy publication,
+/// 50 ms between requests. Clients alternate between demanding (fresh
+/// data, tight deadline, high assurance) and tolerating staleness for
+/// cheap reads — the paper's trade-off, live.
+harness::ScenarioConfig live_config(std::uint64_t seed, std::size_t requests,
+                                    std::size_t primaries,
+                                    std::size_t secondaries,
+                                    std::size_t clients) {
+  harness::ScenarioConfig config;
+  config.seed = seed;
+  config.num_primaries = primaries;
+  config.num_secondaries = secondaries;
+  config.service_mean = std::chrono::milliseconds(20);
+  config.service_std = std::chrono::milliseconds(5);
+  config.lazy_update_interval = std::chrono::milliseconds(500);
+  for (std::size_t c = 0; c < clients; ++c) {
+    const bool strict = c % 2 == 0;
+    config.clients.push_back(harness::ClientSpec{
+        .qos = {.staleness_threshold = strict ? 1u : 4u,
+                .deadline = std::chrono::milliseconds(strict ? 150 : 250),
+                .min_probability = strict ? 0.9 : 0.5},
+        .request_delay = std::chrono::milliseconds(50),
+        .num_requests = requests,
+    });
+  }
+  return config;
 }
 
 // ---------------------------------------------------------------------------
 // Multi-process deployment
 // ---------------------------------------------------------------------------
 
-/// One "NAME=HOST:PORT" address-book entry.
-struct PeerSpec {
-  std::string name;
-  std::string host;
-  std::uint16_t port = 0;
-};
-
-/// Splits "HOST:PORT"; exits with usage() on malformed input.
-std::pair<std::string, std::uint16_t> parse_hostport(const std::string& s) {
-  const std::size_t colon = s.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 == s.size()) {
-    usage();
-  }
-  const std::uint64_t port =
-      harness::require_u64("port", s.substr(colon + 1), usage);
-  if (port == 0 || port > 65535) usage();
-  return {s.substr(0, colon), static_cast<std::uint16_t>(port)};
-}
-
-PeerSpec parse_peer(const std::string& s) {
-  const std::size_t eq = s.find('=');
-  if (eq == std::string::npos || eq == 0) usage();
-  PeerSpec peer;
-  peer.name = s.substr(0, eq);
-  std::tie(peer.host, peer.port) = parse_hostport(s.substr(eq + 1));
-  return peer;
-}
-
-/// Deterministic node identity from a peer name. The mapping is part of
-/// the deployment contract: every process derives the same NodeId for the
-/// same name, so the address book needs no coordination service.
-///   sequencer -> 1, primaryN -> 1+N (N in 1..8), publisher -> 10,
-///   secondaryN -> 10+N, clientN -> 20+N (N in 1..9).
-struct NodeName {
-  std::string role;       // sequencer|primary|secondary|publisher|client
-  std::size_t index = 0;  // the N suffix (0 for sequencer/publisher)
-  net::NodeId id;
-};
-
-std::optional<NodeName> resolve_name(const std::string& name) {
-  const auto suffix_index = [&](const std::string& prefix,
-                                std::size_t max_n) -> std::optional<std::size_t> {
-    const std::string digits = name.substr(prefix.size());
-    if (digits.empty() || digits.size() > 1) return std::nullopt;
-    if (digits[0] < '1' || digits[0] > '9') return std::nullopt;
-    const std::size_t n = static_cast<std::size_t>(digits[0] - '0');
-    if (n > max_n) return std::nullopt;
-    return n;
-  };
-  if (name == "sequencer") return NodeName{"sequencer", 0, net::NodeId{1}};
-  if (name == "publisher") return NodeName{"publisher", 0, net::NodeId{10}};
-  if (name.rfind("primary", 0) == 0) {
-    if (auto n = suffix_index("primary", 8)) {
-      return NodeName{"primary", *n, net::NodeId{static_cast<std::uint32_t>(1 + *n)}};
-    }
-  }
-  if (name.rfind("secondary", 0) == 0) {
-    if (auto n = suffix_index("secondary", 9)) {
-      return NodeName{"secondary", *n,
-                      net::NodeId{static_cast<std::uint32_t>(10 + *n)}};
-    }
-  }
-  if (name.rfind("client", 0) == 0) {
-    if (auto n = suffix_index("client", 9)) {
-      return NodeName{"client", *n,
-                      net::NodeId{static_cast<std::uint32_t>(20 + *n)}};
-    }
-  }
-  return std::nullopt;
-}
-
 /// Join stagger: the sequencer must bootstrap before anyone joins, and the
-/// publisher must join the primary group *last* so the lazy-publisher role
-/// (the last primary-view member) lands on it. Offsets are from this
+/// primaries join in number order, so the last primary-view member (the
+/// lazy publisher) is the highest-numbered primary. Offsets are from this
 /// process's own startup; the 1 s gcs join retry absorbs skew between
 /// process launches.
-sim::Duration start_delay(const NodeName& self) {
-  if (self.role == "sequencer") return sim::Duration::zero();
-  if (self.role == "primary") {
-    return std::chrono::milliseconds(300 + 100 * self.index);
+sim::Duration start_delay(const harness::NodeSpec& node) {
+  const int n = static_cast<int>(node.index) + 1;
+  if (node.role == harness::Role::kSequencer) return sim::Duration::zero();
+  if (node.role == harness::Role::kPrimary) {
+    return std::chrono::milliseconds(300 + 100 * n);
   }
-  if (self.role == "secondary") {
-    return std::chrono::milliseconds(600 + 100 * self.index);
+  if (node.role == harness::Role::kSecondary) {
+    return std::chrono::milliseconds(600 + 100 * n);
   }
-  if (self.role == "publisher") return std::chrono::milliseconds(1500);
   return std::chrono::milliseconds(2000);  // client workloads start last
 }
 
-struct MultiprocOptions {
-  std::string role;
-  std::string listen;
-  std::vector<PeerSpec> peers;
-  double duration_s = 10.0;
+/// Every flag of both modes.
+struct Options {
+  double duration_s = 2.0;  // 10 s in multi-process mode unless given
   std::size_t requests = 15;
   std::uint64_t seed = 42;
+  runtime::Kind kind = runtime::Kind::kRealTime;
   std::string json_out = "BENCH_live.json";
   bool write_json = true;
+  std::string telemetry_out;  // empty = console only
+  double telemetry_period_ms = 100.0;
+  std::string prom_out;  // empty = no Prometheus dump
+  // Multi-process mode: this node and the shared address book.
+  std::string role;
+  std::optional<harness::Address> listen;
+  harness::AddressBook book;
   // Gray-failure injection on this process's outbound path (0 = off).
   double chaos_loss = 0.0;
   double chaos_duplicate = 0.0;
   double chaos_reorder = 0.0;
   double chaos_delay_ms = 0.0;
 
+  bool multiproc() const {
+    return !role.empty() || listen || !book.peers().empty();
+  }
   bool chaos_enabled() const {
     return chaos_loss > 0.0 || chaos_duplicate > 0.0 || chaos_reorder > 0.0 ||
            chaos_delay_ms > 0.0;
   }
 };
 
-int run_multiproc(const MultiprocOptions& opt) {
-  if (opt.listen.empty() || opt.peers.empty()) usage();
-  const auto [listen_host, listen_port] = parse_hostport(opt.listen);
-
-  // This process is the address-book entry whose endpoint matches
-  // --listen; the entry's name fixes the NodeId and (via the role prefix)
-  // must agree with --role.
-  std::optional<NodeName> self;
-  std::string self_name;
-  net::UdpConfig ucfg;
-  for (const PeerSpec& peer : opt.peers) {
-    const auto resolved = resolve_name(peer.name);
-    if (!resolved) {
-      std::fprintf(stderr, "live_cli: unknown peer name '%s'\n",
-                   peer.name.c_str());
-      return 2;
-    }
-    ucfg.peers.push_back(net::UdpPeer{resolved->id, peer.host, peer.port});
-    if (peer.host == listen_host && peer.port == listen_port) {
-      self = resolved;
-      self_name = peer.name;
-    }
-  }
-  if (!self) {
-    std::fprintf(stderr, "live_cli: --listen %s matches no --peer entry\n",
-                 opt.listen.c_str());
+int run_multiproc(const Options& opt) {
+  // This process is the address-book entry at --listen; the entry's name
+  // fixes the NodeId and must agree with --role.
+  const harness::Peer* self = opt.book.find(*opt.listen);
+  if (self == nullptr) {
+    std::fprintf(stderr, "live_cli: --listen %s:%u matches no --peer entry\n",
+                 opt.listen->host.c_str(), opt.listen->port);
     return 2;
   }
-  if (self->role != opt.role) {
+  if (self->node.role != harness::parse_role(opt.role)) {
     std::fprintf(stderr, "live_cli: --role %s but --listen names '%s'\n",
-                 opt.role.c_str(), self_name.c_str());
+                 opt.role.c_str(), self->name.c_str());
     return 2;
   }
+  const std::string& self_name = self->name;
+  net::UdpConfig ucfg;
   ucfg.local_id = self->id;
-  ucfg.listen_host = listen_host;
-  ucfg.listen_port = listen_port;
+  ucfg.listen_host = opt.listen->host;
+  ucfg.listen_port = opt.listen->port;
+  for (const harness::Peer& peer : opt.book.peers()) {
+    ucfg.peers.push_back(
+        net::UdpPeer{peer.id, peer.address.host, peer.address.port});
+  }
+  const harness::ScenarioConfig config = live_config(
+      opt.seed, opt.requests, opt.book.count(harness::Role::kPrimary),
+      opt.book.count(harness::Role::kSecondary),
+      opt.book.count(harness::Role::kClient));
 
   // Receiving serialized frames requires the decoders of every layer in
   // the stack (replication's registration pulls in gcs's).
   replication::register_wire_codecs();
 
   auto exec = runtime::make_executor(runtime::Kind::kRealTime, opt.seed);
-  std::unique_ptr<net::Transport> transport_owner =
-      std::make_unique<net::UdpTransport>(*exec, ucfg);
+  std::unique_ptr<net::Transport> transport_owner;
+  try {
+    transport_owner = std::make_unique<net::UdpTransport>(*exec, ucfg);
+  } catch (const std::runtime_error& e) {
+    std::fprintf(stderr, "live_cli[%s]: %s\n", self_name.c_str(), e.what());
+    return 1;
+  }
   if (opt.chaos_enabled()) {
     // Wrap the socket in the chaos decorator: every send from this process
     // runs the gray-failure pipeline before it reaches the wire. Each
@@ -274,20 +238,24 @@ int run_multiproc(const MultiprocOptions& opt) {
   // Per-process join directory: everyone but the sequencer is told where
   // the groups' coordinator lives; the sequencer finds its directory empty,
   // claims the groups, and bootstraps singleton views.
-  const auto groups = replication::ServiceGroups::for_service(1);
+  const auto groups = harness::service_groups(config, 0);
   gcs::Directory directory;
-  const net::NodeId sequencer_id{1};
-  if (self->id != sequencer_id) {
+  if (self->node.role != harness::Role::kSequencer) {
+    const net::NodeId sequencer_id{1};
     directory.update(groups.primary, sequencer_id);
     directory.update(groups.replication, sequencer_id);
     directory.update(groups.qos, sequencer_id);
   }
-  gcs::Endpoint endpoint(*exec, transport, directory, gcs::Config{});
+  gcs::Endpoint endpoint(*exec, transport, directory, config.gcs);
+  const shard::ShardMap shard_map(config.seed, config.num_shards);
+  const harness::Node node =
+      harness::assemble_node(config, shard_map, self->node, *exec, endpoint);
 
-  const sim::TimePoint deadline = runtime::kEpoch + sim::from_sec(opt.duration_s);
+  const sim::TimePoint deadline =
+      runtime::kEpoch + sim::from_sec(opt.duration_s);
   std::printf("live_cli[%s]: node n%u listening on %s:%u, %zu peers, %.1fs\n",
-              self_name.c_str(), self->id.value(), listen_host.c_str(),
-              listen_port, ucfg.peers.size(), opt.duration_s);
+              self_name.c_str(), self->id.value(), opt.listen->host.c_str(),
+              opt.listen->port, ucfg.peers.size(), opt.duration_s);
   if (opt.chaos_enabled()) {
     std::printf(
         "live_cli[%s]: chaos on outbound: loss=%.2f dup=%.2f reorder=%.2f "
@@ -297,8 +265,9 @@ int run_multiproc(const MultiprocOptions& opt) {
   }
 
   int exit_code = 0;
-  std::uint64_t completed = 0;
-  double failure_rate = 0.0;
+  exec->after(start_delay(self->node), [&] {
+    node.client ? node.client->start() : node.server->start();
+  });
 
   const auto write_report = [&](const std::function<void(obs::JsonWriter&)>& extra) {
     if (!opt.write_json) return;
@@ -332,19 +301,8 @@ int run_multiproc(const MultiprocOptions& opt) {
     std::printf("wrote %s\n", opt.json_out.c_str());
   };
 
-  if (opt.role == "client") {
-    harness::ClientSpec spec;
-    spec.qos = {.staleness_threshold = self->index % 2 == 1 ? 1u : 4u,
-                .deadline = std::chrono::milliseconds(
-                    self->index % 2 == 1 ? 150 : 250),
-                .min_probability = self->index % 2 == 1 ? 0.9 : 0.5};
-    spec.request_delay = std::chrono::milliseconds(50);
-    spec.num_requests = opt.requests;
-    const shard::ShardMap shard_map(opt.seed, /*num_shards=*/1);
-    harness::WorkloadClient workload(*exec, endpoint, shard_map, {groups},
-                                     std::move(spec),
-                                     /*window_size=*/20);
-    exec->after(start_delay(*self), [&] { workload.start(); });
+  if (node.client) {
+    harness::WorkloadClient& workload = *node.client;
     // Poll for completion so a finished workload exits without burning the
     // full duration cap; the cap still bounds a stuck run.
     std::function<void()> check = [&] {
@@ -359,19 +317,20 @@ int run_multiproc(const MultiprocOptions& opt) {
 
     const harness::ClientResult result = workload.result();
     const auto& stats = result.stats;
-    completed = stats.reads_completed + stats.updates_completed;
-    std::uint64_t timing_failures = stats.timing_failures;
-    failure_rate = stats.reads_completed > 0
-                       ? static_cast<double>(timing_failures) /
-                             static_cast<double>(stats.reads_completed)
-                       : 0.0;
+    const std::uint64_t completed =
+        stats.reads_completed + stats.updates_completed;
+    const double failure_rate =
+        stats.reads_completed > 0
+            ? static_cast<double>(stats.timing_failures) /
+                  static_cast<double>(stats.reads_completed)
+            : 0.0;
     std::printf(
         "%s: %llu reads, %llu updates, %llu timing failures "
         "(rate %.3f), avg read %.1f ms\n",
         self_name.c_str(),
         static_cast<unsigned long long>(stats.reads_completed),
         static_cast<unsigned long long>(stats.updates_completed),
-        static_cast<unsigned long long>(timing_failures), failure_rate,
+        static_cast<unsigned long long>(stats.timing_failures), failure_rate,
         sim::to_ms(stats.avg_response_time()));
     write_report([&](obs::JsonWriter& w) {
       w.field("requests_completed", completed);
@@ -384,15 +343,7 @@ int run_multiproc(const MultiprocOptions& opt) {
       exit_code = 1;
     }
   } else {
-    const bool is_primary = opt.role != "secondary";
-    replication::ReplicaConfig rcfg;
-    rcfg.service_time = std::make_shared<sim::NormalDuration>(
-        std::chrono::milliseconds(20), std::chrono::milliseconds(5));
-    rcfg.lazy_update_interval = std::chrono::milliseconds(500);
-    replication::ReplicaServer server(
-        *exec, endpoint, groups, is_primary,
-        std::make_unique<replication::KeyValueStore>(), rcfg);
-    exec->after(start_delay(*self), [&] { server.start(); });
+    const replication::ReplicaServer& server = *node.server;
     exec->run_until(deadline);
 
     const auto& store =
@@ -414,7 +365,7 @@ int run_multiproc(const MultiprocOptions& opt) {
                    static_cast<unsigned long long>(rstats.gsn_conflicts));
       exit_code = 1;
     }
-    if (is_primary && !server.recovering() &&
+    if (server.is_primary() && !server.recovering() &&
         store.version() != server.csn()) {
       std::fprintf(stderr,
                    "FAIL[%s]: applied %llu updates but committed %llu\n",
@@ -428,7 +379,7 @@ int run_multiproc(const MultiprocOptions& opt) {
       w.field("gsn", server.gsn());
       w.field("store_version", store.version());
       w.field("gsn_conflicts", rstats.gsn_conflicts);
-      w.field("is_primary", is_primary);
+      w.field("is_primary", server.is_primary());
       w.field("recovering", server.recovering());
     });
   }
@@ -479,73 +430,11 @@ class ConsoleTelemetry final : public obs::SnapshotSink {
   }
 };
 
-/// Committed-prefix agreement at shutdown: no replica ever observed a GSN
-/// conflict, every live non-recovering primary applied exactly the prefix
-/// it committed (store version == CSN), and live primaries agree on the
-/// commit point up to in-flight slack. Returns the number of violations.
-int check_agreement(harness::Scenario& scenario) {
-  int violations = 0;
-  std::uint64_t max_csn = 0;
-  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
-    const auto& replica = scenario.replica(i);
-    if (replica.stats().gsn_conflicts != 0) {
-      std::fprintf(stderr, "VIOLATION: replica %zu saw %llu gsn conflicts\n",
-                   i, static_cast<unsigned long long>(
-                          replica.stats().gsn_conflicts));
-      ++violations;
-    }
-    if (!replica.crashed() && replica.is_primary() && !replica.recovering()) {
-      const auto& store =
-          dynamic_cast<const replication::KeyValueStore&>(replica.object());
-      if (store.version() != replica.csn()) {
-        std::fprintf(stderr,
-                     "VIOLATION: replica %zu applied %llu updates but "
-                     "committed %llu\n",
-                     i, static_cast<unsigned long long>(store.version()),
-                     static_cast<unsigned long long>(replica.csn()));
-        ++violations;
-      }
-      max_csn = std::max(max_csn, replica.csn());
-    }
-  }
-  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
-    const auto& replica = scenario.replica(i);
-    if (replica.crashed() || !replica.is_primary() || replica.recovering() ||
-        i == scenario.index_sequencer()) {
-      continue;
-    }
-    if (replica.csn() + 2 < max_csn) {
-      std::fprintf(stderr,
-                   "VIOLATION: primary %zu diverged (csn %llu, max %llu)\n",
-                   i, static_cast<unsigned long long>(replica.csn()),
-                   static_cast<unsigned long long>(max_csn));
-      ++violations;
-    }
-  }
-  return violations;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
-  double duration_s = 2.0;
+  Options opt;
   bool duration_set = false;
-  std::size_t requests = 15;
-  std::uint64_t seed = 42;
-  runtime::Kind kind = runtime::Kind::kRealTime;
-  std::string json_out = "BENCH_live.json";
-  bool write_json = true;
-  std::string telemetry_out;  // empty = console only
-  double telemetry_period_ms = 100.0;
-  std::string prom_out;  // empty = no Prometheus dump
-  std::string role;
-  std::string listen;
-  std::vector<PeerSpec> peers;
-  double chaos_loss = 0.0;
-  double chaos_duplicate = 0.0;
-  double chaos_reorder = 0.0;
-  double chaos_delay_ms = 0.0;
-
   // Strict numbers (harness/cli.hpp): a malformed value is a usage error.
   auto parse_probability = [&](const std::string& flag, const char* s) {
     const double p = harness::require_double(flag, s, usage);
@@ -559,114 +448,76 @@ int main(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--duration") {
-      duration_s = harness::require_double(arg, next_value(i), usage);
-      if (duration_s <= 0.0) usage();
+      opt.duration_s = harness::require_double(arg, next_value(i), usage);
+      if (opt.duration_s <= 0.0) usage();
       duration_set = true;
     } else if (arg == "--requests") {
-      requests = harness::require_u64(arg, next_value(i), usage);
+      opt.requests = harness::require_u64(arg, next_value(i), usage);
     } else if (arg == "--seed") {
-      seed = harness::require_u64(arg, next_value(i), usage);
+      opt.seed = harness::require_u64(arg, next_value(i), usage);
     } else if (arg == "--runtime") {
       const std::string name = next_value(i);
       if (name == "real") {
-        kind = runtime::Kind::kRealTime;
+        opt.kind = runtime::Kind::kRealTime;
       } else if (name == "sim") {
-        kind = runtime::Kind::kSim;
+        opt.kind = runtime::Kind::kSim;
       } else {
         usage();
       }
     } else if (arg == "--json-out") {
-      json_out = next_value(i);
+      opt.json_out = next_value(i);
     } else if (arg == "--no-json") {
-      write_json = false;
+      opt.write_json = false;
     } else if (arg == "--telemetry-out") {
-      telemetry_out = next_value(i);
+      opt.telemetry_out = next_value(i);
     } else if (arg == "--telemetry-period") {
-      telemetry_period_ms =
+      opt.telemetry_period_ms =
           harness::require_double(arg, next_value(i), usage);
-      if (telemetry_period_ms <= 0.0) usage();
+      if (opt.telemetry_period_ms <= 0.0) usage();
     } else if (arg == "--prom-out") {
-      prom_out = next_value(i);
+      opt.prom_out = next_value(i);
     } else if (arg == "--role") {
-      role = next_value(i);
-      if (role != "sequencer" && role != "primary" && role != "secondary" &&
-          role != "publisher" && role != "client") {
+      opt.role = next_value(i);
+      if (!harness::parse_role(opt.role)) usage();
+    } else if (arg == "--listen") {
+      opt.listen = harness::parse_address(next_value(i));
+      if (!opt.listen) usage();
+    } else if (arg == "--peer") {
+      const std::string refused = opt.book.add(next_value(i));
+      if (!refused.empty()) {
+        std::fprintf(stderr, "live_cli: %s\n", refused.c_str());
         usage();
       }
-    } else if (arg == "--listen") {
-      listen = next_value(i);
-    } else if (arg == "--peer") {
-      peers.push_back(parse_peer(next_value(i)));
     } else if (arg == "--chaos-loss") {
-      chaos_loss = parse_probability(arg, next_value(i));
+      opt.chaos_loss = parse_probability(arg, next_value(i));
     } else if (arg == "--chaos-duplicate") {
-      chaos_duplicate = parse_probability(arg, next_value(i));
+      opt.chaos_duplicate = parse_probability(arg, next_value(i));
     } else if (arg == "--chaos-reorder") {
-      chaos_reorder = parse_probability(arg, next_value(i));
+      opt.chaos_reorder = parse_probability(arg, next_value(i));
     } else if (arg == "--chaos-delay-ms") {
-      chaos_delay_ms = harness::require_double(arg, next_value(i), usage);
-      if (chaos_delay_ms < 0.0) usage();
+      opt.chaos_delay_ms = harness::require_double(arg, next_value(i), usage);
+      if (opt.chaos_delay_ms < 0.0) usage();
     } else {
       usage();
     }
   }
 
-  if (!role.empty() || !listen.empty() || !peers.empty()) {
-    if (role.empty()) usage();
-    if (!telemetry_out.empty() || !prom_out.empty()) usage();
-    MultiprocOptions opt;
-    opt.role = role;
-    opt.listen = listen;
-    opt.peers = std::move(peers);
-    opt.duration_s = duration_set ? duration_s : 10.0;
-    opt.requests = requests;
-    opt.seed = seed;
-    opt.json_out = json_out;
-    opt.write_json = write_json;
-    opt.chaos_loss = chaos_loss;
-    opt.chaos_duplicate = chaos_duplicate;
-    opt.chaos_reorder = chaos_reorder;
-    opt.chaos_delay_ms = chaos_delay_ms;
+  if (opt.multiproc()) {
+    if (opt.role.empty() || !opt.listen || opt.book.peers().empty()) usage();
+    if (!opt.telemetry_out.empty() || !opt.prom_out.empty()) usage();
+    if (!duration_set) opt.duration_s = 10.0;
     return run_multiproc(opt);
   }
   // The single-process scenario injects faults through fault::FaultSchedule
   // (see sweep_cli's chaos plans); the --chaos-* flags are for the
   // per-process UDP deployment only.
-  if (chaos_loss > 0.0 || chaos_duplicate > 0.0 || chaos_reorder > 0.0 ||
-      chaos_delay_ms > 0.0) {
-    usage();
-  }
+  if (opt.chaos_enabled()) usage();
 
-  // A small cluster with fast service times so a couple of wall-clock
-  // seconds carries a meaningful number of requests: sequencer + 2
-  // primaries + 2 secondaries, ~20 ms service, 500 ms lazy publication.
-  harness::ScenarioConfig config;
-  config.seed = seed;
-  config.runtime = kind;
-  config.num_primaries = 2;
-  config.num_secondaries = 2;
-  config.service_mean = std::chrono::milliseconds(20);
-  config.service_std = std::chrono::milliseconds(5);
-  config.lazy_update_interval = std::chrono::milliseconds(500);
-  config.max_sim_time = sim::from_sec(duration_s);
+  // Sequencer + 2 primaries + 2 secondaries and two clients.
+  harness::ScenarioConfig config = live_config(opt.seed, opt.requests, 2, 2, 2);
+  config.runtime = opt.kind;
+  config.max_sim_time = sim::from_sec(opt.duration_s);
   config.drain = std::chrono::milliseconds(250);
-  // Client 0 is demanding (fresh data, tight deadline, high assurance);
-  // client 1 tolerates staleness for cheap reads — the paper's trade-off,
-  // live.
-  config.clients.push_back(harness::ClientSpec{
-      .qos = {.staleness_threshold = 1,
-              .deadline = std::chrono::milliseconds(150),
-              .min_probability = 0.9},
-      .request_delay = std::chrono::milliseconds(50),
-      .num_requests = requests,
-  });
-  config.clients.push_back(harness::ClientSpec{
-      .qos = {.staleness_threshold = 4,
-              .deadline = std::chrono::milliseconds(250),
-              .min_probability = 0.5},
-      .request_delay = std::chrono::milliseconds(50),
-      .num_requests = requests,
-  });
 
   harness::Scenario scenario(std::move(config));
   obs::LatencyBreakdownCollector breakdown;
@@ -677,28 +528,28 @@ int main(int argc, char** argv) {
   // executor, so the cadence is wall time under `real` and simulated time
   // under `sim`.
   obs::MetricsSnapshotter& telemetry =
-      scenario.enable_telemetry(sim::from_ms(telemetry_period_ms));
+      scenario.enable_telemetry(sim::from_ms(opt.telemetry_period_ms));
   ConsoleTelemetry console;
   telemetry.add_sink(&console);
   std::ofstream telemetry_file;
   std::unique_ptr<obs::JsonlSnapshotSink> jsonl_sink;
-  if (!telemetry_out.empty()) {
-    telemetry_file.open(telemetry_out, std::ios::trunc);
+  if (!opt.telemetry_out.empty()) {
+    telemetry_file.open(opt.telemetry_out, std::ios::trunc);
     if (!telemetry_file) {
-      std::fprintf(stderr, "cannot write %s\n", telemetry_out.c_str());
+      std::fprintf(stderr, "cannot write %s\n", opt.telemetry_out.c_str());
       return 1;
     }
     jsonl_sink = std::make_unique<obs::JsonlSnapshotSink>(telemetry_file);
     telemetry.add_sink(jsonl_sink.get());
   }
   std::unique_ptr<obs::PrometheusTextSink> prom_sink;
-  if (!prom_out.empty()) {
-    prom_sink = std::make_unique<obs::PrometheusTextSink>(prom_out);
+  if (!opt.prom_out.empty()) {
+    prom_sink = std::make_unique<obs::PrometheusTextSink>(opt.prom_out);
     telemetry.add_sink(prom_sink.get());
   }
 
   std::printf("live_cli: %s runtime, %zu requests x 2 clients, %.1fs cap\n",
-              runtime::to_string(kind), requests, duration_s);
+              runtime::to_string(opt.kind), opt.requests, opt.duration_s);
   auto results = scenario.run();
   scenario.observability().trace.remove(&breakdown);
 
@@ -766,36 +617,41 @@ int main(int argc, char** argv) {
   breakdown.write_json(std::cout);
   std::printf("\n");
 
-  const int violations = check_agreement(scenario);
-  if (violations == 0) {
-    std::printf("committed-prefix agreement: OK\n");
-  }
+  const harness::Agreement agreement = harness::check_agreement(scenario);
+  const std::uint64_t violations = agreement.total();
+  std::printf(
+      "committed-prefix agreement: %s (%llu gsn conflicts, %llu csn "
+      "mismatches, %llu divergences)\n",
+      violations == 0 ? "OK" : "VIOLATED",
+      static_cast<unsigned long long>(agreement.gsn_conflicts),
+      static_cast<unsigned long long>(agreement.csn_mismatches),
+      static_cast<unsigned long long>(agreement.divergences));
 
-  if (write_json) {
-    std::ofstream out(json_out);
+  if (opt.write_json) {
+    std::ofstream out(opt.json_out);
     if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", json_out.c_str());
+      std::fprintf(stderr, "cannot write %s\n", opt.json_out.c_str());
       return 1;
     }
     obs::JsonWriter w(out);
     w.begin_object();
     w.field("bench", "live");
-    w.field("runtime", runtime::to_string(kind));
-    w.field("seed", seed);
-    w.field("duration_cap_s", duration_s);
+    w.field("runtime", runtime::to_string(opt.kind));
+    w.field("seed", opt.seed);
+    w.field("duration_cap_s", opt.duration_s);
     w.field("elapsed_s", sim::to_sec(scenario.executor().now() - sim::kEpoch));
     w.field("requests_completed", completed);
     w.field("reads_completed", reads_completed);
     w.field("timing_failure_rate", failure_rate);
     w.field("p50_ms", p50_ms);
     w.field("p95_ms", p95_ms);
-    w.field("agreement_violations", static_cast<std::int64_t>(violations));
+    w.field("agreement_violations", violations);
     w.field("telemetry_snapshots", telemetry.snapshots());
     w.field("sla_violations",
             scenario.observability().sla.total_violations());
     w.end_object();
     out << "\n";
-    std::printf("wrote %s\n", json_out.c_str());
+    std::printf("wrote %s\n", opt.json_out.c_str());
   }
 
   if (completed == 0) {
@@ -803,7 +659,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   if (violations != 0) {
-    std::fprintf(stderr, "FAIL: %d agreement violations\n", violations);
+    std::fprintf(stderr, "FAIL: %llu agreement violations\n",
+                 static_cast<unsigned long long>(violations));
     return 1;
   }
   return 0;

@@ -29,6 +29,7 @@ WorkloadClient::WorkloadClient(runtime::Executor& exec, gcs::Endpoint& endpoint,
         client::ClientConfig config;
         config.window_size = window_size;
         if (spec_.selector) config.selector = spec_.selector();
+        config.read_your_writes = spec_.read_your_writes;
         if (sharded) config.shard = static_cast<std::int64_t>(shard);
         return config;
       });
@@ -91,7 +92,7 @@ void WorkloadClient::on_complete() {
   exec_.after(spec_.request_delay, [this] { issue_next(); });
 }
 
-ClientResult WorkloadClient::result_with_stats() const {
+ClientResult WorkloadClient::result() const {
   ClientResult r;
   r.stats = router_->stats();
   r.read_response_times = read_response_times_;
@@ -123,17 +124,10 @@ void Scenario::build() {
     transport_ = net::make_chaos_transport(std::move(transport_));
   }
 
-  // Shard k's groups live under service id 1 + k; all shards share the one
-  // transport/directory substrate (gcs multiplexes by group id).
-  groups_.reserve(config_.num_shards);
-  for (std::size_t k = 0; k < config_.num_shards; ++k) {
-    groups_.push_back(replication::ServiceGroups::for_service(
-        static_cast<std::uint32_t>(1 + k)));
-  }
-
-  // Flat shard-major layout. Within a shard, the sequencer (slot 0) is the
-  // first primary-group joiner (rank 0 = leader), then primaries, then
-  // secondaries.
+  // Flat shard-major layout; all shards share the one transport/directory
+  // substrate (gcs multiplexes by group id). Within a shard, the sequencer
+  // (slot 0) is the first primary-group joiner (rank 0 = leader), then
+  // primaries, then secondaries.
   const std::size_t num_servers = config_.num_shards * servers_per_shard();
   for (std::size_t index = 0; index < num_servers; ++index) {
     auto endpoint = std::make_unique<gcs::Endpoint>(*exec_, *transport_,
@@ -154,11 +148,13 @@ void Scenario::build() {
     }
   }
 
-  for (const ClientSpec& spec : config_.clients) {
+  for (std::size_t c = 0; c < config_.clients.size(); ++c) {
     auto endpoint = std::make_unique<gcs::Endpoint>(*exec_, *transport_,
                                                     directory_, config_.gcs);
-    workloads_.push_back(std::make_unique<WorkloadClient>(
-        *exec_, *endpoint, shard_map_, groups_, spec, config_.window_size));
+    workloads_.push_back(assemble_node(config_, shard_map_,
+                                       {Role::kClient, 0, c}, *exec_,
+                                       *endpoint)
+                             .client);
     endpoints_.push_back(std::move(endpoint));
   }
 }
@@ -217,21 +213,9 @@ std::vector<ClientResult> Scenario::run() {
 std::unique_ptr<replication::ReplicaServer> Scenario::make_replica_server(
     std::size_t index, gcs::Endpoint& endpoint) {
   const std::size_t shard = shard_of(index);
-  const std::size_t slot = index % servers_per_shard();
-  const bool is_primary = slot <= config_.num_primaries;  // slot 0 = sequencer
-  double speed = 1.0;
-  if (index < config_.speed_factors.size() &&
-      config_.speed_factors[index] > 0.0) {
-    speed = config_.speed_factors[index];
-  }
-  replication::ReplicaConfig rc;
-  rc.service_time = std::make_shared<sim::NormalDuration>(
-      std::chrono::duration_cast<sim::Duration>(config_.service_mean / speed),
-      std::chrono::duration_cast<sim::Duration>(config_.service_std / speed));
-  rc.lazy_update_interval = config_.lazy_update_interval;
-  auto server = std::make_unique<replication::ReplicaServer>(
-      *exec_, endpoint, groups_[shard], is_primary,
-      std::make_unique<replication::KeyValueStore>(), std::move(rc));
+  auto server = assemble_node(config_, shard_map_, server_at(config_, index),
+                              *exec_, endpoint)
+                    .server;
   // A group that ejects a live-but-gray replica leaves the server crashed;
   // reincarnate the slot after a supervisor delay (the reborn process joins
   // under a fresh NodeId, escaping any identity-keyed blackhole).
@@ -264,41 +248,26 @@ void Scenario::crash_replica(std::size_t replica_index) {
   refresh_live_gauge(shard_of(replica_index));
 }
 
-std::size_t Scenario::live_replicas_excluding(std::size_t index) const {
-  const std::size_t begin = shard_of(index) * servers_per_shard();
-  const std::size_t end = begin + servers_per_shard();
+std::size_t Scenario::live_servers(std::size_t shard, bool primaries_only,
+                                   std::size_t except) const {
   std::size_t live = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (i != index && !replicas_[i]->crashed()) ++live;
-  }
-  return live;
-}
-
-std::size_t Scenario::live_primaries_excluding(std::size_t index) const {
-  const std::size_t begin = shard_of(index) * servers_per_shard();
-  const std::size_t end = begin + servers_per_shard();
-  std::size_t live = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (i != index && replicas_[i]->is_primary() && !replicas_[i]->crashed())
-      ++live;
+  for (std::size_t slot = 0; slot < servers_per_shard(); ++slot) {
+    const std::size_t i = slot_index(shard, slot);
+    if (i == except || replicas_[i]->crashed()) continue;
+    if (!primaries_only || replicas_[i]->is_primary()) ++live;
   }
   return live;
 }
 
 void Scenario::refresh_live_gauge(std::size_t shard) {
   if (live_gauges_.empty()) return;
-  const std::size_t begin = shard * servers_per_shard();
-  const std::size_t end = begin + servers_per_shard();
-  std::size_t live = 0;
-  for (std::size_t i = begin; i < end; ++i) {
-    if (!replicas_[i]->crashed()) ++live;
-  }
-  live_gauges_[shard]->set(static_cast<double>(live));
+  live_gauges_[shard]->set(static_cast<double>(live_servers(shard, false)));
 }
 
 void Scenario::restart_replica(std::size_t replica_index) {
   AQUEDUCT_CHECK(replica_index < replicas_.size());
-  const replication::ServiceGroups& groups = groups_[shard_of(replica_index)];
+  const std::size_t shard = shard_of(replica_index);
+  const replication::ServiceGroups groups = service_groups(config_, shard);
   replication::ReplicaServer& old = *replicas_[replica_index];
   if (!old.crashed()) old.crash();
   const net::NodeId old_id = endpoints_[replica_index]->id();
@@ -314,10 +283,10 @@ void Scenario::restart_replica(std::size_t replica_index) {
   // alive its failover coordinator refreshes the entry itself, and erasing
   // it here could split the group into two disjoint views. Liveness is
   // judged within the slot's own shard: other shards' groups are disjoint.
-  if (was_primary && live_primaries_excluding(replica_index) == 0) {
+  if (was_primary && live_servers(shard, true, replica_index) == 0) {
     directory_.forget_if(groups.primary, old_id);
   }
-  if (live_replicas_excluding(replica_index) == 0) {
+  if (live_servers(shard, false, replica_index) == 0) {
     directory_.forget_if(groups.replication, old_id);
     // Clients are QoS-group members too; only forget when none exist.
     if (workloads_.empty()) directory_.forget_if(groups.qos, old_id);
@@ -328,7 +297,7 @@ void Scenario::restart_replica(std::size_t replica_index) {
       make_replica_server(replica_index, *endpoints_[replica_index]);
   replicas_[replica_index]->start();
   ++incarnations_[replica_index];
-  refresh_live_gauge(shard_of(replica_index));
+  refresh_live_gauge(shard);
 }
 
 std::uint32_t Scenario::incarnation(std::size_t replica_index) const {
@@ -372,6 +341,98 @@ void Scenario::enable_dependability(fault::DependabilityConfig config) {
   dependability_ = std::make_unique<fault::DependabilityManager>(
       *exec_, observability(), config, std::move(hooks));
   dependability_->start();
+}
+
+// ---------------------------------------------------------------------------
+// Node assembly
+// ---------------------------------------------------------------------------
+
+NodeSpec server_at(const ScenarioConfig& config, std::size_t replica_index) {
+  const std::size_t slot = replica_index % config.servers_per_shard();
+  NodeSpec node{Role::kSequencer, replica_index / config.servers_per_shard(),
+                0};
+  if (slot > config.num_primaries) {
+    node.role = Role::kSecondary;
+    node.index = slot - 1 - config.num_primaries;
+  } else if (slot > 0) {
+    node.role = Role::kPrimary;
+    node.index = slot - 1;
+  }
+  return node;
+}
+
+replication::ServiceGroups service_groups(const ScenarioConfig& config,
+                                          std::size_t shard) {
+  return replication::ServiceGroups::for_service(
+      static_cast<std::uint32_t>(1 + shard), config.ordering);
+}
+
+Node assemble_node(const ScenarioConfig& config, const shard::ShardMap& map,
+                   const NodeSpec& node, runtime::Executor& exec,
+                   gcs::Endpoint& endpoint) {
+  Node built;
+  if (node.role == Role::kClient) {
+    std::vector<replication::ServiceGroups> groups;
+    groups.reserve(config.num_shards);
+    for (std::size_t k = 0; k < config.num_shards; ++k) {
+      groups.push_back(service_groups(config, k));
+    }
+    built.client = std::make_unique<WorkloadClient>(
+        exec, endpoint, map, std::move(groups), config.clients.at(node.index),
+        config.window_size);
+    return built;
+  }
+  const std::size_t slot =
+      node.role == Role::kSequencer ? 0
+      : node.role == Role::kPrimary ? 1 + node.index
+                                    : 1 + config.num_primaries + node.index;
+  const std::size_t index = node.shard * config.servers_per_shard() + slot;
+  double speed = 1.0;
+  if (index < config.speed_factors.size() &&
+      config.speed_factors[index] > 0.0) {
+    speed = config.speed_factors[index];
+  }
+  replication::ReplicaConfig rc;
+  rc.service_time = std::make_shared<sim::NormalDuration>(
+      std::chrono::duration_cast<sim::Duration>(config.service_mean / speed),
+      std::chrono::duration_cast<sim::Duration>(config.service_std / speed));
+  rc.lazy_update_interval = config.lazy_update_interval;
+  built.server = std::make_unique<replication::ReplicaServer>(
+      exec, endpoint, service_groups(config, node.shard),
+      node.role != Role::kSecondary,
+      std::make_unique<replication::KeyValueStore>(), std::move(rc));
+  return built;
+}
+
+Agreement check_agreement(const Scenario& scenario) {
+  Agreement agreement;
+  const auto held_to_commit = [](const replication::ReplicaServer& replica) {
+    return !replica.crashed() && replica.is_primary() && !replica.recovering();
+  };
+  for (std::size_t shard = 0; shard < scenario.num_shards(); ++shard) {
+    std::uint64_t max_csn = 0;
+    for (std::size_t slot = 0; slot < scenario.servers_per_shard(); ++slot) {
+      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
+      agreement.gsn_conflicts += replica.stats().gsn_conflicts;
+      const auto& store =
+          dynamic_cast<const replication::KeyValueStore&>(replica.object());
+      for (const auto& [key, value] : store.entries()) {
+        if (scenario.shard_map().shard_for(key) != shard) {
+          ++agreement.leaked_keys;
+        }
+      }
+      if (!held_to_commit(replica)) continue;
+      if (store.version() != replica.csn()) ++agreement.csn_mismatches;
+      max_csn = std::max(max_csn, replica.csn());
+    }
+    for (std::size_t slot = 1; slot < scenario.servers_per_shard(); ++slot) {
+      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
+      if (held_to_commit(replica) && replica.csn() + 2 < max_csn) {
+        ++agreement.divergences;
+      }
+    }
+  }
+  return agreement;
 }
 
 }  // namespace aqueduct::harness

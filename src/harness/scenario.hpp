@@ -70,6 +70,9 @@ struct ClientSpec {
   /// Null = the paper's probabilistic selector (Algorithm 1).
   SelectorFactory selector;
   Arrival arrival = Arrival::kClosedLoop;
+  /// FIFO ordering only: reads reflect this client's own latest update
+  /// (client::ClientConfig::read_your_writes).
+  bool read_your_writes = false;
 };
 
 struct ScenarioConfig {
@@ -84,6 +87,9 @@ struct ScenarioConfig {
   std::size_t num_shards = 1;
   std::size_t num_primaries = 4;    // excluding the sequencer
   std::size_t num_secondaries = 6;
+  /// The ordering policy every shard's service runs (paper Section 4,
+  /// Fig. 2; see replication::ServiceGroups::ordering).
+  core::Ordering ordering = core::Ordering::kSequential;
   /// Simulated background load: service delay ~ Normal(mean, std).
   sim::Duration service_mean = std::chrono::milliseconds(100);
   sim::Duration service_std = std::chrono::milliseconds(50);
@@ -119,6 +125,11 @@ struct ScenarioConfig {
   /// harness reincarnates the slot, modelling a process supervisor. The
   /// evicted server has already crash()ed itself; zero disables restarts.
   sim::Duration eviction_restart_delay = std::chrono::seconds(1);
+
+  /// Server slots per shard: sequencer + primaries + secondaries.
+  std::size_t servers_per_shard() const {
+    return 1 + num_primaries + num_secondaries;
+  }
 };
 
 /// Per-client results of a run.
@@ -201,10 +212,7 @@ class Scenario {
 
   // ---- shard topology ----
   std::size_t num_shards() const { return config_.num_shards; }
-  /// Server slots per shard: sequencer + primaries + secondaries.
-  std::size_t servers_per_shard() const {
-    return 1 + config_.num_primaries + config_.num_secondaries;
-  }
+  std::size_t servers_per_shard() const { return config_.servers_per_shard(); }
   /// Flat replica index of shard `shard`'s `slot`-th server.
   std::size_t slot_index(std::size_t shard, std::size_t slot) const {
     return shard * servers_per_shard() + slot;
@@ -215,13 +223,12 @@ class Scenario {
   }
   /// The key-placement ring clients route by (seeded from config.seed).
   const shard::ShardMap& shard_map() const { return shard_map_; }
-  /// Shard `shard`'s gcs group ids.
-  const replication::ServiceGroups& groups(std::size_t shard = 0) const {
-    return groups_.at(shard);
-  }
 
   runtime::Executor& executor() { return *exec_; }
   replication::ReplicaServer& replica(std::size_t index) { return *replicas_.at(index); }
+  const replication::ReplicaServer& replica(std::size_t index) const {
+    return *replicas_.at(index);
+  }
   std::size_t num_workloads() const { return workloads_.size(); }
   WorkloadClient& workload(std::size_t index) { return *workloads_.at(index); }
   /// Snapshot of the transport counters (assembled from the metrics
@@ -247,14 +254,15 @@ class Scenario {
 
  private:
   void build();
-  /// Builds the ReplicaServer for flat slot `index` against `endpoint`
-  /// (shard, role and speed factor derive from the index). Shared by
-  /// build() and restart_replica().
+  /// Assembles the ReplicaServer for flat slot `index` against `endpoint`
+  /// and arms its eviction restart. Shared by build() and
+  /// restart_replica().
   std::unique_ptr<replication::ReplicaServer> make_replica_server(
       std::size_t index, gcs::Endpoint& endpoint);
-  /// Live servers of `index`'s shard, excluding `index` itself.
-  std::size_t live_replicas_excluding(std::size_t index) const;
-  std::size_t live_primaries_excluding(std::size_t index) const;
+  /// Live servers (or only primaries) of shard `shard`, not counting flat
+  /// slot `except` (whose server may be gone mid-restart).
+  std::size_t live_servers(std::size_t shard, bool primaries_only,
+                           std::size_t except = SIZE_MAX) const;
   /// Re-computes shard `shard`'s `shard<k>.replicas_live` gauge (no-op in
   /// single-shard mode, where the gauges are not registered).
   void refresh_live_gauge(std::size_t shard);
@@ -264,8 +272,6 @@ class Scenario {
   std::unique_ptr<runtime::Executor> exec_;
   std::unique_ptr<net::Transport> transport_;
   gcs::Directory directory_;
-  /// groups_[k] = shard k's gcs group ids (service id 1 + k).
-  std::vector<replication::ServiceGroups> groups_;
   std::vector<std::unique_ptr<gcs::Endpoint>> endpoints_;
   // Flat, shard-major: replicas_[slot_index(s, 0)] = shard s's sequencer,
   // then its primaries, then its secondaries.
@@ -298,10 +304,9 @@ class WorkloadClient {
   client::ClientHandler& handler() { return router_->handler(0); }
   const shard::ShardRouter& router() const { return *router_; }
   shard::ShardRouter& router() { return *router_; }
-  ClientResult result() const { return result_with_stats(); }
+  ClientResult result() const;
 
  private:
-  ClientResult result_with_stats() const;
   void issue_next();
   void on_complete();
   void schedule_open_arrival();
@@ -317,5 +322,61 @@ class WorkloadClient {
   std::vector<double> read_completed_at_;
   std::vector<bool> read_timing_failures_;
 };
+
+// ---------------------------------------------------------------------------
+// Node assembly
+// ---------------------------------------------------------------------------
+
+/// A node's role in the replica organisation (paper Section 3).
+enum class Role { kSequencer, kPrimary, kSecondary, kClient };
+
+/// A node's place in a ScenarioConfig's layout: shard `shard`'s sequencer,
+/// primary or secondary number `index` (from 0), or the workload client
+/// running config.clients[index] (`shard` unused).
+struct NodeSpec {
+  Role role = Role::kSequencer;
+  std::size_t shard = 0;
+  std::size_t index = 0;
+};
+
+/// The server at flat replica index `replica_index` (shard-major; slot 0 of
+/// each shard is its sequencer, then its primaries, then its secondaries).
+NodeSpec server_at(const ScenarioConfig& config, std::size_t replica_index);
+
+/// Shard `shard`'s group ids: service id 1 + shard, under config.ordering.
+replication::ServiceGroups service_groups(const ScenarioConfig& config,
+                                          std::size_t shard);
+
+/// What one node runs: `server` for the server roles, `client` for kClient.
+struct Node {
+  std::unique_ptr<replication::ReplicaServer> server;
+  std::unique_ptr<WorkloadClient> client;
+};
+
+/// The one node-assembly path: builds what `node` runs under `config`'s
+/// layout, ordering and service model, on `exec` and `endpoint` (clients
+/// route keys by `map`). Scenario calls it for every node, live_cli --role
+/// for its process's one node. Nothing is started.
+Node assemble_node(const ScenarioConfig& config, const shard::ShardMap& map,
+                   const NodeSpec& node, runtime::Executor& exec,
+                   gcs::Endpoint& endpoint);
+
+/// Committed-prefix agreement at the end of a run, per shard. Every
+/// replica's GSN conflicts count, crashed or not. Only live primaries that
+/// are not recovering are held to the commit rule: store version == CSN
+/// (`csn_mismatches`) and, the sequencer aside, a CSN within two commits of
+/// the shard's furthest such primary (`divergences`). `leaked_keys` counts
+/// stored keys the ShardMap places on another shard.
+struct Agreement {
+  std::uint64_t gsn_conflicts = 0;
+  std::uint64_t csn_mismatches = 0;
+  std::uint64_t divergences = 0;
+  std::uint64_t leaked_keys = 0;
+
+  std::uint64_t total() const {
+    return gsn_conflicts + csn_mismatches + divergences + leaked_keys;
+  }
+};
+Agreement check_agreement(const Scenario& scenario);
 
 }  // namespace aqueduct::harness

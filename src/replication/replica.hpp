@@ -123,6 +123,7 @@ class ReplicaServer {
   net::NodeId id() const { return endpoint_.id(); }
   bool crashed() const { return crashed_; }
   bool is_primary() const { return is_primary_; }
+  const ServiceGroups& groups() const { return groups_; }
   /// True while the replica is (re)joining an existing service and has not
   /// yet synchronized its state (transfer barrier up: no commits served).
   bool recovering() const { return recovering_; }

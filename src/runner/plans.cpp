@@ -115,19 +115,21 @@ using ExtraFields = std::function<void(
     harness::Scenario&, const std::vector<harness::ClientResult>&,
     SeedRecord&)>;
 
-/// Runs one point of a paper-workload plan: the knob values that name the
-/// point, then client 2's reads and latency, then `extra`.
+/// Runs one point of a plan: the knob values that name the point, then the
+/// measured client's reads and latency (client 2 of the paper workload by
+/// default), then `extra`.
 SeedRecord run_measured(
     harness::ScenarioConfig config,
     std::initializer_list<std::pair<const char*, double>> knobs,
-    const ExtraFields& extra = {}) {
+    const ExtraFields& extra = {}, std::size_t measured = 1) {
   harness::Scenario scenario(std::move(config));
   UnitTelemetry telemetry(scenario);
   const auto results = scenario.run();
   SeedRecord rec;
   for (const auto& [name, v] : knobs) rec.value(name, v);
-  report_reads(rec, results[1].stats);
-  report_latency(rec, results[1], scenario.executor().now() - sim::kEpoch);
+  report_reads(rec, results[measured].stats);
+  report_latency(rec, results[measured],
+                 scenario.executor().now() - sim::kEpoch);
   if (extra) extra(scenario, results, rec);
   telemetry.report(scenario, rec);
   return rec;
@@ -201,17 +203,14 @@ SeedRecord run_recovery(const Unit& unit, std::size_t requests) {
       if (failed) (in_outage ? outage_failures : steady_failures) += 1;
     }
   }
-  std::uint64_t conflicts = 0;
-  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
-    conflicts += scenario.replica(i).stats().gsn_conflicts;
-  }
   rec.counter("reads_completed", reads_completed);
   rec.counter("reads_abandoned", reads_abandoned);
   rec.counter("outage_reads", outage_reads);
   rec.counter("outage_failures", outage_failures);
   rec.counter("steady_reads", steady_reads);
   rec.counter("steady_failures", steady_failures);
-  rec.counter("gsn_conflicts", conflicts);
+  rec.counter("gsn_conflicts",
+              harness::check_agreement(scenario).gsn_conflicts);
   rec.counter("recovered", rejoin >= 0.0 ? 1 : 0);
   rec.counter("selected", first_selection >= 0.0 ? 1 : 0);
   telemetry.report(scenario, rec);
@@ -248,10 +247,8 @@ SeedRecord run_failure_injection(const Unit& unit, std::size_t requests) {
   auto results = scenario.run();
   const auto& stats = results[1].stats;  // the tight-QoS client
 
-  std::uint64_t conflicts = 0;
   std::uint64_t reborn = 0;  // restarted slots (fresh incarnations)
   for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
-    conflicts += scenario.replica(i).stats().gsn_conflicts;
     reborn += scenario.incarnation(i);
   }
   SeedRecord rec;
@@ -263,7 +260,8 @@ SeedRecord run_failure_injection(const Unit& unit, std::size_t requests) {
   rec.counter("staleness_violations", results[0].stats.staleness_violations +
                                           stats.staleness_violations);
   rec.counter("reborn", reborn);
-  rec.counter("gsn_conflicts", conflicts);
+  rec.counter("gsn_conflicts",
+              harness::check_agreement(scenario).gsn_conflicts);
   telemetry.report(scenario, rec);
   return rec;
 }
@@ -327,26 +325,54 @@ SeedRecord run_fig4(const Unit& unit, std::size_t requests) {
 // ------------------------------------------------------------ chaos suites
 
 /// Shared invariant distillation: liveness, staleness, GSN uniqueness,
-/// exactly-once commits, committed-prefix convergence. Violation counters
-/// stay 0 on a healthy run; the chaos tests assert exactly that.
-struct ChaosInvariants {
+/// exactly-once commits, committed-prefix convergence and, in the shard
+/// plans, key placement. Violation counters stay 0 on a healthy run; the
+/// chaos tests assert exactly that.
+struct Invariants {
   std::uint64_t liveness_violations = 0;
   std::uint64_t staleness_violations = 0;
-  std::uint64_t gsn_conflicts = 0;
-  std::uint64_t csn_mismatches = 0;
-  std::uint64_t divergences = 0;
+  harness::Agreement agreement;
+  /// Only the shard plans report `leaked_keys`; on one shard it is 0 by
+  /// construction (every key maps to shard 0).
+  bool placement = false;
 
   void report(SeedRecord& rec) const {
     rec.counter("liveness_violations", liveness_violations);
     rec.counter("staleness_violations", staleness_violations);
-    rec.counter("gsn_conflicts", gsn_conflicts);
-    rec.counter("csn_mismatches", csn_mismatches);
-    rec.counter("divergences", divergences);
+    rec.counter("gsn_conflicts", agreement.gsn_conflicts);
+    rec.counter("csn_mismatches", agreement.csn_mismatches);
+    rec.counter("divergences", agreement.divergences);
+    if (placement) rec.counter("leaked_keys", agreement.leaked_keys);
     rec.counter("violations", liveness_violations + staleness_violations +
-                                  gsn_conflicts + csn_mismatches +
-                                  divergences);
+                                  agreement.total());
   }
 };
+
+/// The clients' share: every read completed or abandoned (liveness), and
+/// no reply staler than its client's threshold.
+Invariants client_invariants(const std::vector<harness::ClientResult>& results,
+                             std::uint64_t expected_reads) {
+  Invariants inv;
+  for (const auto& r : results) {
+    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
+      ++inv.liveness_violations;
+    }
+    inv.staleness_violations += r.stats.staleness_violations;
+  }
+  return inv;
+}
+
+/// The clients' share plus harness::check_agreement; `placement` also
+/// reports leaked keys (the shard plans).
+Invariants checked_invariants(
+    const harness::Scenario& scenario,
+    const std::vector<harness::ClientResult>& results,
+    std::uint64_t expected_reads, bool placement = false) {
+  Invariants inv = client_invariants(results, expected_reads);
+  inv.agreement = harness::check_agreement(scenario);
+  inv.placement = placement;
+  return inv;
+}
 
 harness::ScenarioConfig chaos_config(std::uint64_t seed,
                                      std::size_t num_primaries,
@@ -394,27 +420,23 @@ SeedRecord run_chaos(const Unit& unit, std::size_t requests) {
 
   auto results = scenario.run();
 
-  ChaosInvariants inv;
-  const std::uint64_t expected_reads = requests / 2;
-  for (const auto& r : results) {
-    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
-      ++inv.liveness_violations;
-    }
-    inv.staleness_violations += r.stats.staleness_violations;
-  }
+  // Not harness::check_agreement: this rule also holds primaries that are
+  // still recovering at the end to the commit rule, which that checker
+  // skips, so folding it in would loosen the gate.
+  Invariants inv = client_invariants(results, requests / 2);
   std::uint64_t max_csn = 0;
   for (std::size_t i = 0; i <= 3; ++i) {
     if (std::find(crashed.begin(), crashed.end(), i) != crashed.end()) continue;
     const auto& replica = scenario.replica(i);
-    inv.gsn_conflicts += replica.stats().gsn_conflicts;
+    inv.agreement.gsn_conflicts += replica.stats().gsn_conflicts;
     const auto& store =
         dynamic_cast<const replication::KeyValueStore&>(replica.object());
-    if (store.version() != replica.csn()) ++inv.csn_mismatches;
+    if (store.version() != replica.csn()) ++inv.agreement.csn_mismatches;
     max_csn = std::max(max_csn, replica.csn());
   }
   for (std::size_t i = 1; i <= 3; ++i) {
     if (std::find(crashed.begin(), crashed.end(), i) != crashed.end()) continue;
-    if (scenario.replica(i).csn() + 2 < max_csn) ++inv.divergences;
+    if (scenario.replica(i).csn() + 2 < max_csn) ++inv.agreement.divergences;
   }
   SeedRecord rec;
   inv.report(rec);
@@ -444,33 +466,8 @@ SeedRecord run_chaos_recovery(const Unit& unit, std::size_t requests) {
 
   auto results = scenario.run();
 
-  ChaosInvariants inv;
-  const std::uint64_t expected_reads = requests / 2;
-  for (const auto& r : results) {
-    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
-      ++inv.liveness_violations;
-    }
-    inv.staleness_violations += r.stats.staleness_violations;
-  }
-  std::uint64_t max_csn = 0;
-  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
-    const auto& replica = scenario.replica(i);
-    inv.gsn_conflicts += replica.stats().gsn_conflicts;
-    if (replica.crashed() || !replica.is_primary() || replica.recovering()) {
-      continue;
-    }
-    const auto& store =
-        dynamic_cast<const replication::KeyValueStore&>(replica.object());
-    if (store.version() != replica.csn()) ++inv.csn_mismatches;
-    max_csn = std::max(max_csn, replica.csn());
-  }
-  for (std::size_t i = 1; i <= 2; ++i) {
-    const auto& replica = scenario.replica(i);
-    if (replica.crashed() || replica.recovering()) continue;
-    if (replica.csn() + 2 < max_csn) ++inv.divergences;
-  }
   SeedRecord rec;
-  inv.report(rec);
+  checked_invariants(scenario, results, requests / 2).report(rec);
   telemetry.report(scenario, rec);
   return rec;
 }
@@ -479,32 +476,28 @@ SeedRecord run_chaos_recovery(const Unit& unit, std::size_t requests) {
 
 /// Invariant collection shared by the gray plans: no replica crashes in
 /// them, so every replica is checked and primaries must agree on the
-/// committed prefix.
-ChaosInvariants collect_gray_invariants(
+/// committed prefix. Not harness::check_agreement: this rule also holds
+/// primaries that are still recovering at the end (after an eviction
+/// restart) to the commit rule, which that checker skips, so folding it in
+/// would loosen the gate.
+Invariants collect_gray_invariants(
     harness::Scenario& scenario,
     const std::vector<harness::ClientResult>& results,
     std::uint64_t expected_reads) {
-  ChaosInvariants inv;
-  for (const auto& r : results) {
-    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
-      ++inv.liveness_violations;
-    }
-    inv.staleness_violations += r.stats.staleness_violations;
-  }
+  Invariants inv = client_invariants(results, expected_reads);
+  harness::Agreement& agreement = inv.agreement;
+  agreement.gsn_conflicts = harness::check_agreement(scenario).gsn_conflicts;
   std::uint64_t max_csn = 0;
   const std::size_t num_primaries = 3;  // chaos_config(…, 3, 3, …) layout
-  for (std::size_t i = 0; i < scenario.num_replicas(); ++i) {
-    inv.gsn_conflicts += scenario.replica(i).stats().gsn_conflicts;
-  }
   for (std::size_t i = 0; i <= num_primaries; ++i) {
     const auto& replica = scenario.replica(i);
     const auto& store =
         dynamic_cast<const replication::KeyValueStore&>(replica.object());
-    if (store.version() != replica.csn()) ++inv.csn_mismatches;
+    if (store.version() != replica.csn()) ++agreement.csn_mismatches;
     max_csn = std::max(max_csn, replica.csn());
   }
   for (std::size_t i = 1; i <= num_primaries; ++i) {
-    if (scenario.replica(i).csn() + 2 < max_csn) ++inv.divergences;
+    if (scenario.replica(i).csn() + 2 < max_csn) ++agreement.divergences;
   }
   return inv;
 }
@@ -648,75 +641,6 @@ SeedRecord run_gray_chaos(const Unit& unit, std::size_t requests) {
 
 // ------------------------------------------------------------ shard plans
 
-/// Invariants of a sharded run. On top of the chaos counters (checked per
-/// shard — groups are independent, so agreement is intra-shard), the
-/// placement invariant: a replica's store may only ever hold keys its
-/// shard owns. Any cross-shard GSN/key leakage pools into `violations`.
-struct ShardInvariants {
-  std::uint64_t liveness_violations = 0;
-  std::uint64_t staleness_violations = 0;
-  std::uint64_t gsn_conflicts = 0;
-  std::uint64_t csn_mismatches = 0;
-  std::uint64_t divergences = 0;
-  /// Keys found in some replica's store that the ShardMap places on a
-  /// different shard.
-  std::uint64_t leaked_keys = 0;
-
-  void report(SeedRecord& rec) const {
-    rec.counter("liveness_violations", liveness_violations);
-    rec.counter("staleness_violations", staleness_violations);
-    rec.counter("gsn_conflicts", gsn_conflicts);
-    rec.counter("csn_mismatches", csn_mismatches);
-    rec.counter("divergences", divergences);
-    rec.counter("leaked_keys", leaked_keys);
-    rec.counter("violations", liveness_violations + staleness_violations +
-                                  gsn_conflicts + csn_mismatches + divergences +
-                                  leaked_keys);
-  }
-};
-
-ShardInvariants collect_shard_invariants(
-    harness::Scenario& scenario,
-    const std::vector<harness::ClientResult>& results,
-    std::uint64_t expected_reads) {
-  ShardInvariants inv;
-  for (const auto& r : results) {
-    if (r.stats.reads_completed + r.stats.reads_abandoned != expected_reads) {
-      ++inv.liveness_violations;
-    }
-    inv.staleness_violations += r.stats.staleness_violations;
-  }
-  const std::size_t sps = scenario.servers_per_shard();
-  for (std::size_t shard = 0; shard < scenario.num_shards(); ++shard) {
-    std::uint64_t max_csn = 0;
-    for (std::size_t slot = 0; slot < sps; ++slot) {
-      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
-      inv.gsn_conflicts += replica.stats().gsn_conflicts;
-      // Placement: every stored key must hash to this shard, crashed or
-      // not — a misplaced key means an update crossed group boundaries.
-      const auto& store =
-          dynamic_cast<const replication::KeyValueStore&>(replica.object());
-      for (const auto& [key, value] : store.entries()) {
-        if (scenario.shard_map().shard_for(key) != shard) ++inv.leaked_keys;
-      }
-      if (replica.crashed() || !replica.is_primary() || replica.recovering()) {
-        continue;
-      }
-      if (store.version() != replica.csn()) ++inv.csn_mismatches;
-      max_csn = std::max(max_csn, replica.csn());
-    }
-    // Committed-prefix agreement inside the shard (slot 0 = sequencer).
-    for (std::size_t slot = 1; slot < sps; ++slot) {
-      const auto& replica = scenario.replica(scenario.slot_index(shard, slot));
-      if (replica.crashed() || !replica.is_primary() || replica.recovering()) {
-        continue;
-      }
-      if (replica.csn() + 2 < max_csn) ++inv.divergences;
-    }
-  }
-  return inv;
-}
-
 harness::ScenarioConfig shard_config(std::uint64_t seed, std::size_t shards,
                                      std::size_t requests) {
   harness::ScenarioConfig config;
@@ -797,7 +721,8 @@ SeedRecord run_shard_scaling(const Unit& unit, std::size_t requests) {
   rec.counter("timing_failures", timing_failures);
   rec.counter("retries", retries);
   rec.sample("read_ms", std::move(read_ms));
-  collect_shard_invariants(scenario, results, requests / 2).report(rec);
+  checked_invariants(scenario, results, requests / 2, /*placement=*/true)
+      .report(rec);
   telemetry.report(scenario, rec);
   return rec;
 }
@@ -870,7 +795,8 @@ SeedRecord run_hot_shard(const Unit& unit, std::size_t requests) {
   rec.counter("steady_reads", steady_reads);
   rec.counter("steady_failures", steady_failures);
   rec.counter("reborn", reborn);
-  collect_shard_invariants(scenario, results, requests / 2).report(rec);
+  checked_invariants(scenario, results, requests / 2, /*placement=*/true)
+      .report(rec);
   telemetry.report(scenario, rec);
   return rec;
 }
@@ -1117,6 +1043,52 @@ SeedRecord run_protocol_overhead(const Unit& unit, std::size_t requests) {
   }
   telemetry.report(scenario, rec);
   return rec;
+}
+
+// ---------------------------------------------------------------- ordering
+
+/// Paper Section 4, Fig. 2: the gateway hosts more than one timed
+/// consistency handler. The same pool and workload under each ordering
+/// policy the service supports; only the policy and the client's
+/// read-your-writes session bound differ.
+struct OrderingPoint {
+  const char* name;
+  core::Ordering ordering;
+  bool read_your_writes;
+};
+constexpr OrderingPoint kOrderingPoints[] = {
+    {"sequential", core::Ordering::kSequential, false},
+    {"fifo_read_your_writes", core::Ordering::kFifo, true},
+    {"fifo", core::Ordering::kFifo, false},
+};
+
+/// Sequencer + 2 primaries + 4 secondaries, one client alternating writes
+/// and reads of one key at a=2, d=140 ms, Pc=0.9 with 200 ms between them.
+SeedRecord run_ordering(const Unit& unit, std::size_t requests) {
+  const OrderingPoint& point = kOrderingPoints[unit.point];
+  harness::ScenarioConfig config;
+  config.seed = unit.seed;
+  config.num_primaries = 2;
+  config.num_secondaries = 4;
+  config.ordering = point.ordering;
+  config.lazy_update_interval = seconds(2);
+  config.clients.push_back(harness::ClientSpec{
+      .qos = {.staleness_threshold = 2,
+              .deadline = milliseconds(140),
+              .min_probability = 0.9},
+      .request_delay = milliseconds(200),
+      .num_requests = requests,
+      .num_keys = 1,
+      .read_your_writes = point.read_your_writes,
+  });
+  const auto agreement = [](harness::Scenario& scenario, const auto&,
+                            SeedRecord& rec) {
+    const harness::Agreement a = harness::check_agreement(scenario);
+    rec.counter("gsn_conflicts", a.gsn_conflicts);
+    rec.counter("csn_mismatches", a.csn_mismatches);
+    rec.counter("divergences", a.divergences);
+  };
+  return run_measured(std::move(config), {}, agreement, /*measured=*/0);
 }
 
 // ------------------------------------------------------------- pass gates
@@ -1383,6 +1355,23 @@ std::vector<Plan> build_plans() {
     p.default_requests = 1000;
     p.points = {"paper_workload"};
     p.run = run_protocol_overhead;
+    all.push_back(std::move(p));
+  }
+  {
+    Plan p;
+    p.name = "ordering";
+    p.description =
+        "Section 4 ordering handlers: sequential vs FIFO with and without "
+        "read-your-writes on one pool (1+2 primaries, 4 secondaries); "
+        "agreement and staleness violations must pool to 0";
+    p.default_requests = 600;
+    for (const OrderingPoint& point : kOrderingPoints) {
+      p.points.push_back(point.name);
+    }
+    p.binomials = timing_failure_binomial();
+    p.run = run_ordering;
+    p.pass = pooled_zero({"staleness_violations", "gsn_conflicts",
+                          "csn_mismatches", "divergences"});
     all.push_back(std::move(p));
   }
   return all;

@@ -84,7 +84,7 @@ TEST(SweepDeterminism, ScenarioPlanByteIdenticalAcrossThreadCounts) {
 TEST(SweepDeterminism, PaperWorkloadPlansByteIdenticalAcrossThreadCounts) {
   for (const char* name :
        {"ablation_lui", "ablation_request_delay", "baselines", "group_sizing",
-        "heterogeneous", "open_loop", "protocol_overhead"}) {
+        "heterogeneous", "open_loop", "protocol_overhead", "ordering"}) {
     const runner::Plan* plan = runner::find_plan(name);
     ASSERT_NE(plan, nullptr) << name;
     const auto spec1 = runner::make_spec(*plan, 3, 2, 1, /*requests=*/20);
@@ -282,6 +282,11 @@ TEST(SweepPlans, PassGateRejectsEachPlansFailureCounter) {
       {"group_sizing", {}, {{"staleness_violations", 1}}},
       {"heterogeneous", {}, {{"staleness_violations", 1}}},
       {"open_loop", {}, {{"staleness_violations", 1}}},
+      {"ordering", {{"staleness_violations", 0}, {"divergences", 0}},
+       {{"staleness_violations", 1}, {"divergences", 0}}},
+      {"ordering", {}, {{"gsn_conflicts", 1}}},
+      {"ordering", {}, {{"csn_mismatches", 1}}},
+      {"ordering", {}, {{"divergences", 1}}},
   };
   for (const Case& c : cases) {
     const runner::Plan* plan = runner::find_plan(c.plan);
