@@ -4,10 +4,11 @@
 // channels, send buffers, failure-detector timestamps — holds one entry
 // per group member (a handful), and the receive path reads them on every
 // message. A sorted vector of pairs replaces the node-per-entry std::map:
-// a lookup is a binary search over contiguous memory, and iteration
-// ascends by key exactly as std::map's does, so anything built by walking
-// a table (a heartbeat's ack tables, a flush's held messages) comes out in
-// the same order.
+// a lookup scans contiguous memory from the front, and iteration ascends
+// by key exactly as std::map's does, so anything built by walking a table
+// (a heartbeat's ack tables, a flush's held messages) comes out in the
+// same order. On the dozen entries of a group's table the forward scan is
+// cheaper than a binary search's unpredictable branches.
 //
 // The surface is the slice of std::map the protocol, its codec and its
 // tests use: operator[], find, contains, ascending iteration, size, ==,
@@ -97,8 +98,7 @@ class FlatMap {
     return it != entries_.end() && it->first == key ? it : entries_.end();
   }
   const_iterator find(const K& key) const {
-    const auto it =
-        std::lower_bound(entries_.begin(), entries_.end(), key, KeyLess{});
+    const const_iterator it = lower_bound(entries_, key);
     return it != entries_.end() && it->first == key ? it : entries_.end();
   }
   bool contains(const K& key) const { return find(key) != end(); }
@@ -120,13 +120,13 @@ class FlatMap {
   }
 
  private:
-  struct KeyLess {
-    bool operator()(const value_type& e, const K& key) const {
-      return e.first < key;
-    }
-  };
-  iterator lower_bound(const K& key) {
-    return std::lower_bound(entries_.begin(), entries_.end(), key, KeyLess{});
+  iterator lower_bound(const K& key) { return lower_bound(entries_, key); }
+  /// The first entry whose key is not below `key`, by a forward scan.
+  template <typename Entries>
+  static auto lower_bound(Entries& entries, const K& key) {
+    auto it = entries.begin();
+    while (it != entries.end() && it->first < key) ++it;
+    return it;
   }
 
   std::vector<value_type> entries_;  // ascending by key, keys unique

@@ -124,7 +124,6 @@ void Member::multicast(net::MessagePtr payload) {
   msg->payload = std::move(payload);
   const DataMsgPtr frozen = msg;
   sent_mcast_.emplace(frozen->seq, frozen);
-  stability_dirty_ = true;
   ++stats_.mcasts_sent;
   metrics_.mcasts_sent.inc();
   transmit_mcast(frozen);
@@ -376,7 +375,7 @@ void Member::send_heartbeat() {
 
 void Member::handle_heartbeat(net::NodeId from, const HeartbeatMsg& msg) {
   // Stability bookkeeping: most heartbeats repeat the sender's last row.
-  SeqTable& row = ack_matrix_[from];
+  SeqTable& row = ack_row(from);
   if (row != msg.mcast_acks) {
     row = msg.mcast_acks;
     stability_dirty_ = true;
@@ -411,8 +410,16 @@ void Member::handle_heartbeat(net::NodeId from, const HeartbeatMsg& msg) {
 }
 
 void Member::ack_self(net::NodeId sender, std::uint64_t seq) {
-  ack_matrix_[self_][sender] = seq;
+  ack_row(self_)[sender] = seq;
   stability_dirty_ = true;
+}
+
+SeqTable& Member::ack_row(net::NodeId member) {
+  const std::size_t rows = ack_matrix_.size();
+  SeqTable& row = ack_matrix_[member];
+  // An insert moves the other rows: the cached pointers are stale.
+  if (ack_matrix_.size() != rows) stability_rows_stale_ = true;
+  return row;
 }
 
 void Member::collect_stability() {
@@ -423,12 +430,15 @@ void Member::collect_stability() {
   // A multicast (sender, seq) is stable once every current-view member has
   // delivered it; stable copies can be dropped from retained logs and from
   // the sender's own buffer. A member without an ack row makes nothing
-  // stable.
-  stability_rows_.clear();
-  for (const net::NodeId m : view_.members) {
-    const auto row = ack_matrix_.find(m);
-    if (row == ack_matrix_.end()) return;
-    stability_rows_.push_back(&row->second);
+  // stable (and the rows stay stale until it gains one).
+  if (stability_rows_stale_) {
+    stability_rows_.clear();
+    for (const net::NodeId m : view_.members) {
+      const auto row = ack_matrix_.find(m);
+      if (row == ack_matrix_.end()) return;
+      stability_rows_.push_back(&row->second);
+    }
+    stability_rows_stale_ = false;
   }
   if (stability_rows_.empty()) return;
   // The stable point of `sender`'s stream, or any value below `oldest` (its
@@ -454,6 +464,11 @@ void Member::collect_stability() {
     const std::uint64_t stable = stable_for(self_, sent_mcast_.begin()->first);
     sent_mcast_.erase(sent_mcast_.begin(), sent_mcast_.upper_bound(stable));
   }
+}
+
+std::size_t Member::retained_count(net::NodeId sender) const {
+  const auto chan = mcast_in_.find(sender);
+  return chan == mcast_in_.end() ? 0 : chan->second.retained.size();
 }
 
 void Member::fd_tick() {
@@ -720,6 +735,7 @@ void Member::install_view(const std::shared_ptr<const InstallMsg>& msg) {
 
   view_ = msg->view;
   stability_dirty_ = true;
+  stability_rows_stale_ = true;  // and the GC below erases rows
   last_proposal_seen_ = std::max(last_proposal_seen_, view_.id);
   blocked_ = false;
   ++stats_.view_changes;

@@ -125,6 +125,11 @@ class Member {
   const MemberStats& stats() const { return stats_; }
   const Config& config() const { return config_; }
 
+  /// Delivered multicasts of `sender` still retained until stable.
+  std::size_t retained_count(net::NodeId sender) const;
+  /// Own multicasts still held until stable (the retransmission buffer).
+  std::size_t unstable_sent_count() const { return sent_mcast_.size(); }
+
  private:
   // ---- receive-side channel state, one per (sender, stream) ----
   struct InChannel {
@@ -162,6 +167,9 @@ class Member {
   void transmit_mcast(const DataMsgPtr& msg);
   /// Stores `seq` as this member's own ack of `sender`'s multicast stream.
   void ack_self(net::NodeId sender, std::uint64_t seq);
+  /// `member`'s ack row, inserted empty if absent. Every ack_matrix_
+  /// insert goes through here, so it can mark stability_rows_ stale.
+  SeqTable& ack_row(net::NodeId member);
   /// Drops stable multicasts from the retained logs and from sent_mcast_.
   /// A no-op unless an input changed since the last complete pass.
   void collect_stability();
@@ -220,12 +228,16 @@ class Member {
   // stability: member -> (sender -> cumulative mcast ack)
   FlatMap<net::NodeId, SeqTable> ack_matrix_;
   /// Set whenever an input of collect_stability() changes: an ack_matrix_
-  /// row takes a different value, the self row is written, a view is
-  /// installed, or an own multicast is buffered. Cleared by a complete
-  /// pass; while clear, a pass could collect nothing.
+  /// row takes a different value, the self row is written, or a view is
+  /// installed. (A newly buffered own multicast needs no flag: it is
+  /// collectable only once its self-delivery writes the self row.)
+  /// Cleared by a complete pass; while clear, a pass could collect nothing.
   bool stability_dirty_ = false;
-  /// Scratch for collect_stability(): the view members' ack rows.
+  /// The view members' ack rows in view order, kept across passes. Stale
+  /// after ack_matrix_ gains a row (ack_row) or a view is installed (the
+  /// only time it loses rows); rebuilt by the next pass.
   std::vector<const SeqTable*> stability_rows_;
+  bool stability_rows_stale_ = true;
 
   // failure detection
   FlatMap<net::NodeId, sim::TimePoint> last_heard_;

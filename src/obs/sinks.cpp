@@ -98,13 +98,36 @@ void PrometheusTextSink::on_snapshot(const MetricsSnapshot& snap) {
   ++writes_;
 }
 
-std::uint64_t digest_fnv1a64(std::string_view data) {
-  std::uint64_t hash = 0xcbf29ce484222325ull;
+namespace {
+
+std::uint64_t fold_fnv1a64(std::uint64_t hash, std::string_view data) {
   for (const char c : data) {
     hash ^= static_cast<unsigned char>(c);
     hash *= 0x100000001b3ull;
   }
   return hash;
+}
+
+}  // namespace
+
+std::uint64_t digest_fnv1a64(std::string_view data) {
+  return fold_fnv1a64(0xcbf29ce484222325ull, data);
+}
+
+DigestStreamBuf::int_type DigestStreamBuf::overflow(int_type c) {
+  if (traits_type::eq_int_type(c, traits_type::eof())) {
+    return traits_type::not_eof(c);
+  }
+  const char ch = traits_type::to_char_type(c);
+  digest_ = fold_fnv1a64(digest_, std::string_view(&ch, 1));
+  ++bytes_;
+  return c;
+}
+
+std::streamsize DigestStreamBuf::xsputn(const char* s, std::streamsize n) {
+  digest_ = fold_fnv1a64(digest_, std::string_view(s, static_cast<std::size_t>(n)));
+  bytes_ += static_cast<std::uint64_t>(n);
+  return n;
 }
 
 }  // namespace aqueduct::obs

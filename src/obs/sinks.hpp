@@ -16,6 +16,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <set>
+#include <streambuf>
 #include <string>
 #include <string_view>
 
@@ -66,5 +67,23 @@ class PrometheusTextSink final : public SnapshotSink {
 /// FNV-1a 64-bit digest. Used by the sweep runner to roll a per-unit JSONL
 /// telemetry series up into one deterministic fingerprint.
 std::uint64_t digest_fnv1a64(std::string_view data);
+
+/// An output stream buffer that keeps nothing: it folds every byte written
+/// through it into a running FNV-1a 64-bit digest and counts the bytes, so
+/// a series is fingerprinted as it is written instead of being buffered
+/// first. digest() equals digest_fnv1a64() of everything written so far.
+class DigestStreamBuf final : public std::streambuf {
+ public:
+  std::uint64_t digest() const { return digest_; }
+  std::uint64_t bytes() const { return bytes_; }
+
+ protected:
+  int_type overflow(int_type c) override;
+  std::streamsize xsputn(const char* s, std::streamsize n) override;
+
+ private:
+  std::uint64_t digest_ = digest_fnv1a64({});
+  std::uint64_t bytes_ = 0;
+};
 
 }  // namespace aqueduct::obs

@@ -25,32 +25,33 @@ using std::chrono::seconds;
 
 // ------------------------------------------------------ per-unit telemetry
 
-/// Every plan unit runs with periodic telemetry streaming to an in-memory
-/// JSONL sink; the series is rolled up into the row as a deterministic
-/// digest plus snapshot/violation counters. Because the series is a pure
-/// function of the unit's (seed, point), the digest is byte-identical for
-/// any sweep thread count — the determinism suite asserts it.
+/// Every plan unit runs with periodic telemetry streaming to a JSONL sink
+/// whose bytes are hashed and counted as they are written, never stored;
+/// the series is rolled up into the row as a deterministic digest plus
+/// snapshot/violation counters. Because the series is a pure function of
+/// the unit's (seed, point), the digest is byte-identical for any sweep
+/// thread count — the determinism suite asserts it.
 class UnitTelemetry {
  public:
-  explicit UnitTelemetry(harness::Scenario& scenario) : sink_(jsonl_) {
+  explicit UnitTelemetry(harness::Scenario& scenario) {
     scenario.enable_telemetry(milliseconds(250)).add_sink(&sink_);
   }
 
   void report(harness::Scenario& scenario, SeedRecord& rec) {
-    const std::string series = jsonl_.str();
     std::ostringstream digest;
     digest << std::hex << std::setw(16) << std::setfill('0')
-           << obs::digest_fnv1a64(series);
+           << series_.digest();
     rec.text("telemetry_digest", digest.str());
     rec.counter("telemetry_snapshots", scenario.telemetry()->snapshots());
-    rec.counter("telemetry_bytes", series.size());
+    rec.counter("telemetry_bytes", series_.bytes());
     rec.counter("sla_violations",
                 scenario.observability().sla.total_violations());
   }
 
  private:
-  std::ostringstream jsonl_;
-  obs::JsonlSnapshotSink sink_;
+  obs::DigestStreamBuf series_;
+  std::ostream out_{&series_};
+  obs::JsonlSnapshotSink sink_{out_};
 };
 
 // ---------------------------------------------------------- paper workload

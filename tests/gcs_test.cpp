@@ -324,6 +324,192 @@ TEST(GcsStability, LastMemberToDeliverCollectsWithoutAnyRowChanging) {
             to_coordinator.sizes[peer].back());
 }
 
+// ---- stability GC inputs -----------------------------------------------
+//
+// Each test below watches one member's held logs while the test feeds it ack
+// rows by hand: the group runs with a heartbeat period far beyond the test's
+// horizon, so no member heartbeats on its own and every pass of the
+// stability GC follows an ack_heartbeat() call.
+
+Config quiet_config() {
+  Config config;
+  config.heartbeat_period = seconds(1000);
+  config.suspect_timeout = seconds(5000);
+  return config;
+}
+
+/// Hands member `to` a heartbeat from member `from` whose multicast ack row
+/// is `acks` (and which announces no multicast or p2p traffic).
+void ack_heartbeat(Fixture& f, std::size_t to, std::size_t from, SeqTable acks) {
+  auto hb = std::make_shared<HeartbeatMsg>();
+  hb->group = kGroup;
+  hb->view = f.member(to).view().id;
+  hb->mcast_acks = std::move(acks);
+  f.member(to).handle(f.member(from).self(), hb);
+}
+
+TEST(GcsStability, MemberWithoutARowBlocksUntilItsFirstHeartbeat) {
+  Fixture f(3, 1, milliseconds(2), quiet_config());
+  f.join_all();
+  const net::NodeId s = f.member(1).self();
+  f.member(1).multicast(text("held"));
+  f.settle();
+  ASSERT_EQ(f.member(0).retained_count(s), 1u);
+  ack_heartbeat(f, 0, 1, {{s, 1}});
+  EXPECT_EQ(f.member(0).retained_count(s), 1u)
+      << "member 2 has no ack row yet, so it acks nothing";
+  ack_heartbeat(f, 0, 2, {{s, 1}});
+  EXPECT_EQ(f.member(0).retained_count(s), 0u);
+}
+
+TEST(GcsStability, EmptiedLogThatRefillsIsCollectedOnTheNextHeartbeat) {
+  Fixture f(3, 1, milliseconds(2), quiet_config());
+  f.join_all();
+  const net::NodeId s = f.member(1).self();
+  f.member(1).multicast(text("first"));
+  f.settle();
+  ack_heartbeat(f, 0, 1, {{s, 1}});
+  ack_heartbeat(f, 0, 2, {{s, 1}});
+  ASSERT_EQ(f.member(0).retained_count(s), 0u);
+
+  // The emptied log refills; no ack row has reached the new message yet.
+  f.member(1).multicast(text("second"));
+  f.settle();
+  ASSERT_EQ(f.member(0).retained_count(s), 1u);
+  ack_heartbeat(f, 0, 1, {{s, 2}});
+  EXPECT_EQ(f.member(0).retained_count(s), 1u) << "member 2 has not acked it";
+  ack_heartbeat(f, 0, 2, {{s, 2}});
+  EXPECT_EQ(f.member(0).retained_count(s), 0u);
+}
+
+TEST(GcsStability, ReorderedLowerRowCollectsNothing) {
+  Fixture f(3, 1, milliseconds(2), quiet_config());
+  f.join_all();
+  const net::NodeId s = f.member(1).self();
+  f.member(1).multicast(text("a"));
+  f.member(1).multicast(text("b"));
+  f.settle();
+  ack_heartbeat(f, 0, 1, {{s, 2}});
+  ack_heartbeat(f, 0, 2, {{s, 1}});
+  ASSERT_EQ(f.member(0).retained_count(s), 1u)
+      << "'a' is stable; member 2 holds 'b' back";
+
+  // Member 2's older heartbeats, overtaken in the network, arrive late.
+  ack_heartbeat(f, 0, 2, {{s, 0}});
+  EXPECT_EQ(f.member(0).retained_count(s), 1u);
+  ack_heartbeat(f, 0, 2, {});
+  EXPECT_EQ(f.member(0).retained_count(s), 1u);
+  ack_heartbeat(f, 0, 2, {{s, 1}});
+  EXPECT_EQ(f.member(0).retained_count(s), 1u);
+  ack_heartbeat(f, 0, 2, {{s, 2}});
+  EXPECT_EQ(f.member(0).retained_count(s), 0u);
+}
+
+TEST(GcsStability, OwnMulticastIsCollectedAfterSelfDeliveryAndEveryAck) {
+  Fixture f(3, 1, milliseconds(2), quiet_config());
+  f.join_all();
+  Member& sender = f.member(0);
+  const net::NodeId s = sender.self();
+  sender.multicast(text("own"));
+  EXPECT_EQ(sender.unstable_sent_count(), 1u);
+  f.settle();  // every member delivers it, the sender last of all acks
+  EXPECT_EQ(sender.retained_count(s), 1u);
+  ack_heartbeat(f, 0, 1, {{s, 1}});
+  EXPECT_EQ(sender.unstable_sent_count(), 1u) << "member 2 has not acked it";
+  ack_heartbeat(f, 0, 2, {{s, 1}});
+  EXPECT_EQ(sender.unstable_sent_count(), 0u);
+  EXPECT_EQ(sender.retained_count(s), 0u);
+}
+
+TEST(GcsStability, LaggingMemberLeavingTheViewMakesTheStreamStable) {
+  Fixture f(3, 1, milliseconds(2), quiet_config());
+  f.join_all();
+  const net::NodeId s = f.member(1).self();
+  f.member(1).multicast(text("held"));
+  f.settle();
+  ack_heartbeat(f, 0, 1, {{s, 1}});
+  ack_heartbeat(f, 0, 2, {{s, 0}});
+  ASSERT_EQ(f.member(0).retained_count(s), 1u) << "member 2 blocks it";
+
+  f.member(2).leave();
+  f.settle();
+  ASSERT_EQ(f.member(0).view().size(), 2u);
+  // Member 1's row is the one it sent before: only the view change can
+  // make the message stable.
+  ack_heartbeat(f, 0, 1, {{s, 1}});
+  EXPECT_EQ(f.member(0).retained_count(s), 0u);
+}
+
+TEST(GcsStability, EvictingALaggingMemberMakesTheStreamStable) {
+  Fixture f(3);
+  f.join_all();
+  const net::NodeId s = f.member(1).self();
+  f.endpoints[2]->crash();
+  f.member(1).multicast(text("held"));
+  f.settle(milliseconds(500));
+  ASSERT_EQ(f.member(0).retained_count(s), 1u)
+      << "the crashed member never acks it";
+  ASSERT_EQ(f.member(1).unstable_sent_count(), 1u);
+
+  // The failure detector evicts member 2; heartbeats resume in the new view.
+  f.settle(seconds(4));
+  ASSERT_EQ(f.member(0).view().size(), 2u);
+  EXPECT_EQ(f.member(0).retained_count(s), 0u);
+  EXPECT_EQ(f.member(1).unstable_sent_count(), 0u);
+}
+
+TEST(GcsStability, JoinerWithoutARowBlocksAfterTheInstall) {
+  Fixture f(3, 1, milliseconds(2), quiet_config());
+  const net::NodeId s = f.member(1).self();
+  for (std::size_t i = 0; i < 2; ++i) {
+    f.member(i).join();
+    f.settle(milliseconds(50));
+  }
+  f.settle();
+  // In view {0, 1}, a message becomes stable: member 0 now holds the ack
+  // rows of both members.
+  f.member(1).multicast(text("early"));
+  f.settle();
+  ack_heartbeat(f, 0, 1, {{s, 1}});
+  ASSERT_EQ(f.member(0).retained_count(s), 0u);
+
+  f.member(2).join();
+  f.settle();
+  ASSERT_EQ(f.member(0).view().size(), 3u);
+  f.member(1).multicast(text("late"));
+  f.settle();
+  ack_heartbeat(f, 0, 1, {{s, 2}});
+  EXPECT_EQ(f.member(0).retained_count(s), 1u)
+      << "the joiner has no ack row yet, so it acks nothing";
+  ack_heartbeat(f, 0, 2, {{s, 2}});
+  EXPECT_EQ(f.member(0).retained_count(s), 0u);
+}
+
+TEST(GcsStability, HeartbeatFromANonMemberLeavesTheViewRowsInPlace) {
+  Fixture f(4, 1, milliseconds(2), quiet_config());
+  // Members 1–3 form the group; node 0, whose id sorts below theirs, stays
+  // out, so its row lands in front of theirs in member 1's ack matrix.
+  for (std::size_t i = 1; i < 4; ++i) {
+    f.member(i).join();
+    f.settle(milliseconds(50));
+  }
+  f.settle();
+  ASSERT_EQ(f.member(1).view().size(), 3u);
+  ASSERT_LT(f.member(0).self(), f.member(1).self());
+  const net::NodeId s = f.member(2).self();
+  f.member(2).multicast(text("held"));
+  f.settle();
+  ack_heartbeat(f, 1, 2, {{s, 1}});
+  ack_heartbeat(f, 1, 3, {{s, 0}});
+  ASSERT_EQ(f.member(1).retained_count(s), 1u) << "member 3 holds it back";
+
+  ack_heartbeat(f, 1, 0, {{s, 1}});
+  EXPECT_EQ(f.member(1).retained_count(s), 1u)
+      << "a non-member's row must not stand in for member 3's";
+  ack_heartbeat(f, 1, 3, {{s, 1}});
+  EXPECT_EQ(f.member(1).retained_count(s), 0u);
+}
+
 TEST(GcsLeave, GracefulLeaveShrinksView) {
   Fixture f(3);
   f.join_all();

@@ -103,7 +103,7 @@ TEST(SweepDeterminism, MergeOrderFollowsUnitOrderNotCompletionOrder) {
     if (unit.seed < 104) {
       // Busy-wait long enough that later (cheap) units finish first.
       volatile double sink = 0.0;
-      for (int i = 0; i < 2000000; ++i) sink += static_cast<double>(i);
+      for (int i = 0; i < 2000000; ++i) sink = sink + static_cast<double>(i);
     }
     return synthetic_run(unit);
   };

@@ -38,10 +38,14 @@ TEST_P(ExecutorConformance, StartsAtEpochAndAdvances) {
   // never runs backwards; the simulator sits exactly at the epoch.
   const TimePoint t0 = exec->now();
   EXPECT_GE(t0, kEpoch);
-  if (is_sim()) EXPECT_EQ(t0, kEpoch);
+  if (is_sim()) {
+    EXPECT_EQ(t0, kEpoch);
+  }
   exec->run_for(milliseconds(5));
   EXPECT_GE(exec->now(), t0 + milliseconds(5));
-  if (is_sim()) EXPECT_EQ(exec->now(), t0 + milliseconds(5));
+  if (is_sim()) {
+    EXPECT_EQ(exec->now(), t0 + milliseconds(5));
+  }
 }
 
 TEST_P(ExecutorConformance, SameTimeEventsFireInSchedulingOrder) {
@@ -62,7 +66,9 @@ TEST_P(ExecutorConformance, AfterNeverFiresEarly) {
   exec->after(milliseconds(10), [&] { fired_at = exec->now(); });
   exec->run();
   EXPECT_GE(fired_at, scheduled_at + milliseconds(10));
-  if (is_sim()) EXPECT_EQ(fired_at, scheduled_at + milliseconds(10));
+  if (is_sim()) {
+    EXPECT_EQ(fired_at, scheduled_at + milliseconds(10));
+  }
 }
 
 TEST_P(ExecutorConformance, NegativeDelayIsRejected) {

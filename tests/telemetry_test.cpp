@@ -214,6 +214,16 @@ TEST(DigestFnv1a64, KnownVectors) {
   EXPECT_EQ(obs::digest_fnv1a64("foobar"), 0x85944171f73967e8ull);
 }
 
+TEST(DigestFnv1a64, StreamBufMatchesDigestOfEverythingWritten) {
+  obs::DigestStreamBuf buf;
+  std::ostream out(&buf);
+  EXPECT_EQ(buf.digest(), obs::digest_fnv1a64(""));
+  // Single characters (overflow), strings (xsputn) and formatted numbers.
+  out << 'f' << "oo" << std::string("bar") << 42 << ' ' << 0.5;
+  EXPECT_EQ(buf.digest(), obs::digest_fnv1a64("foobar42 0.5"));
+  EXPECT_EQ(buf.bytes(), 12u);
+}
+
 // ---------------------------------------------------------------------------
 // Determinism: scenario + seed => byte-identical JSONL
 // ---------------------------------------------------------------------------
